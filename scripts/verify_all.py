@@ -4,7 +4,8 @@
 Usage: python scripts/verify_all.py [--deep] [--cache PATH]
 
 --deep raises the degree/insertion bounds (several minutes instead of
-seconds).  Exit status 1 when any suite reports a violation.
+seconds).  Exit status 1 when any suite reports a violation, 3 when the
+cache file cannot be read (wrong version header or a malformed entry).
 """
 
 import argparse
@@ -13,7 +14,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from abelianizer.abelian_gw import MemoStore
+from abelianizer.abelian_gw import CacheFormatError, MemoStore
 from abelianizer.cli import RunConfig, run_suites
 
 
@@ -36,6 +37,9 @@ def main():
             store.load(args.cache)
         except FileNotFoundError:
             pass
+        except CacheFormatError as exc:
+            print(f"cache error: {exc}", file=sys.stderr)
+            return 3
 
     print(f"{'target':<10} {'suite':<22} {'instances':>9} {'pass':>5} {'time':>8}")
     ok = True

@@ -5,17 +5,17 @@ of (P^{n-1})^k; invariants with four or more insertions are reconstructed
 through the divisor relation and the associativity (WDVV) constraints of the
 big quantum product, with exact memoization.
 
-WDVV bookkeeping.  For monomials u, v, x, y, a background tuple B and a
-multidegree d, put
+WDVV bookkeeping.  For basis elements u, v, x, y, a background tuple B and
+a curve class d, put
 
     E(u, v | x, y) = sum over splittings S + T = B, e + f = d and basis
-                     monomials mu of  <u, v, S, mu>_e  <mu^dual, x, y, T>_f
+                     elements mu of  <u, v, S, mu>_e  <mu^dual, x, y, T>_f
 
-(mu^dual the Poincare-dual monomial).  Associativity says E(u,v|x,y) is
-symmetric under swapping v and x.  Degree-0 invariants with >= 4 marks
-vanish, so on each side the only degree-0 contributions are the classical
-triple products at e=0, S=empty (resp. f=0, T=empty), which contract to a
-cup product on the other factor.  Extracting those ends from both sides of
+(mu^dual the Poincare dual).  Associativity says E(u,v|x,y) is symmetric
+under swapping v and x.  Degree-0 invariants with >= 4 marks vanish, so on
+each side the only degree-0 contributions are the classical triple products
+at e=0, S=empty (resp. f=0, T=empty), which contract to a cup product on
+the other factor.  Extracting those ends from both sides of
 E(H_i, g' | x1, x2) = E(H_i, x1 | g', x2) and removing the loose divisor
 H_i by the divisor axiom yields, for a target insertion g = H_i g':
 
@@ -27,11 +27,18 @@ with P the sum of proper splittings (e and f both nonzero).  The first
 term on the right is evaluated with g' as its next factored insertion, so
 the measure (total degree, number of marks, codim of the factored
 insertion) drops lexicographically at every step.
+
+E is computed in one place, wdvv_contraction, for the potential of any
+space that supplies dim, c1_degree, dual and basis_of_codim: this module's
+ProductSpace and the Grassmannian's BoxSpec alike.  P is E over the proper
+splittings; the checks on both sides enumerate their identities with
+wdvv_identities and compare the three contractions with wdvv_failures.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 import threading
 from fractions import Fraction
 
@@ -40,7 +47,12 @@ from .cohomology import PClass, ProductSpace, c_squared, cup, integrate_rational
 Mono = tuple  # exponent vector of a basis monomial
 
 
-class CacheVersionError(RuntimeError):
+class CacheFormatError(RuntimeError):
+    """Raised when a cache file cannot be read: a malformed or conflicting
+    entry, or (as CacheVersionError) the wrong version header."""
+
+
+class CacheVersionError(CacheFormatError):
     """Raised when loading a cache file with the wrong version header."""
 
 
@@ -54,6 +66,10 @@ class MemoStore:
     Keys are (k, n, multidegree, sorted insertion monomials).  Inserts are
     idempotent: re-putting a key checks exact equality.  Reads are lock-free;
     writes are serialized, so concurrent duplicated computation is safe.
+
+    brackets holds the lifted Grassmannian brackets derived from these
+    invariants (correspondence.i_bracket), so that they die with the store
+    and never outlive a corrupted one.
     """
 
     VERSION = "abelian-gw-cache v1"
@@ -63,6 +79,7 @@ class MemoStore:
         self.path = path
         self.hits = 0
         self.misses = 0
+        self.brackets: dict = {}
         self._lock = threading.Lock()
 
     def __len__(self):
@@ -110,8 +127,17 @@ class MemoStore:
         for key in sorted(self.data, key=self.key_text):
             v = self.data[key]
             lines.append(f"{self.key_text(key)}\t{v.numerator}/{v.denominator}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        # write a sibling file and rename it over the target, so that a
+        # reader never sees a half-written cache
+        tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+        try:
+            with open(tmp, "w") as fh:
+                fh.write("\n".join(lines) + "\n")
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+            raise
 
     def load(self, path=None):
         path = path or self.path
@@ -119,13 +145,20 @@ class MemoStore:
             header = fh.readline().rstrip("\n")
             if header != self.VERSION:
                 raise CacheVersionError(f"expected {self.VERSION!r}, found {header!r}")
-            for line in fh:
+            for lineno, line in enumerate(fh, start=2):
                 line = line.rstrip("\n")
                 if not line:
                     continue
-                key_text, val_text = line.split("\t")
-                num, den = val_text.split("/")
-                self.put(self.parse_key_text(key_text), Fraction(int(num), int(den)))
+                try:
+                    key_text, val_text = line.split("\t")
+                    num, den = val_text.split("/")
+                    key, value = self.parse_key_text(key_text), Fraction(int(num), int(den))
+                except (ValueError, ZeroDivisionError):
+                    raise CacheFormatError(f"{path}:{lineno}: malformed entry {line!r}") from None
+                try:
+                    self.put(key, value)
+                except CacheConsistencyError as exc:
+                    raise CacheFormatError(f"{path}:{lineno}: conflicting entry: {exc}") from None
         return self
 
 
@@ -183,14 +216,6 @@ def _factor_variable(mono, policy: str) -> int:
 def _mono_cup(a: Mono, b: Mono, n: int):
     e = tuple(x + y for x, y in zip(a, b))
     return None if any(x >= n for x in e) else e
-
-
-def _split_degrees(d: tuple):
-    """Proper splittings e + f = d with both parts nonzero, e iterated."""
-    ranges = [range(x + 1) for x in d]
-    for e in itertools.product(*ranges):
-        if any(e) and any(x - y for x, y in zip(d, e)):
-            yield e, tuple(x - y for x, y in zip(d, e))
 
 
 def gw_invariant(space: ProductSpace, insertions, d, store: MemoStore, policy: str = "default") -> Fraction:
@@ -291,9 +316,14 @@ def _wdvv_step(space, ins, d, store, policy, dist) -> Fraction:
             new_ins = tuple(sorted(back + (gprime, c_cup), reverse=True))
             total -= d[i] * _gw(space, new_ins, d, store, policy, None)
 
+    def value(marks, e):
+        return _gw(space, tuple(sorted(marks, reverse=True)), e, store, policy, None)
+
+    # P(u, v | x, y): the contraction over proper splittings only
+    proper = [(e, f) for e, f in space.splittings(d) if any(e) and any(f)]
     h_i = _unit_vec(space.k, i)
-    total += _proper_splittings(space, h_i, x1, gprime, x2, back, d, store, policy)
-    total -= _proper_splittings(space, h_i, gprime, x1, x2, back, d, store, policy)
+    total += wdvv_contraction(space, h_i, x1, gprime, x2, back, proper, value)
+    total -= wdvv_contraction(space, h_i, gprime, x1, x2, back, proper, value)
     return total
 
 
@@ -301,43 +331,66 @@ def _unit_vec(k: int, i: int) -> Mono:
     return tuple(1 if j == i else 0 for j in range(k))
 
 
-def _proper_splittings(space, u, v, x, y, back, d, store, policy) -> Fraction:
-    """P(u, v | x, y): contraction sum over proper degree splittings."""
+def wdvv_contraction(space, u, v, x, y, back, splits, value) -> Fraction:
+    """E(u, v | x, y) restricted to the degree splits (e, f) in splits.
+
+    Sums value((u, v, mu) + S, e) * value((mu^dual, x, y) + T, f) over the
+    splittings S + T = back (by position, so a repeated class is split both
+    ways), over (e, f) in splits and over the basis elements mu of the one
+    codimension the dimension constraint of the left factor allows.  The
+    codimension of a basis element is the sum of its entries (exponents of
+    a monomial, parts of a partition); space supplies dim, c1_degree, dual
+    and basis_of_codim.
+    """
     total = Fraction(0)
     base = sum(u) + sum(v)
-    for s_mask in range(1 << len(back)):
-        S = tuple(back[j] for j in range(len(back)) if s_mask >> j & 1)
-        T = tuple(back[j] for j in range(len(back)) if not s_mask >> j & 1)
-        s_codim = base + sum(sum(e) for e in S)
-        for e, f in _split_degrees(d):
-            mu_codim = space.dim + space.c1_degree(e) + len(S) - s_codim
-            if not 0 <= mu_codim <= space.dim:
-                continue
-            for mu in _monomials_of_codim(space, mu_codim):
-                left = _gw(space, tuple(sorted((u, v, mu) + S, reverse=True)), e, store, policy, None)
-                if not left:
-                    continue
-                right = _gw(
-                    space,
-                    tuple(sorted((space.dual(mu), x, y) + T, reverse=True)),
-                    f, store, policy, None,
-                )
-                total += left * right
+    for mask in range(1 << len(back)):
+        S = tuple(b for j, b in enumerate(back) if mask >> j & 1)
+        T = tuple(b for j, b in enumerate(back) if not mask >> j & 1)
+        left_excess = base + sum(map(sum, S)) - len(S)
+        for e, f in splits:
+            for mu in space.basis_of_codim(space.dim + space.c1_degree(e) - left_excess):
+                left = value((u, v, mu) + S, e)
+                if left:
+                    total += left * value((space.dual(mu), x, y) + T, f)
     return total
 
 
-_mono_by_codim_cache: dict[tuple, dict[int, list]] = {}
+def wdvv_identities(space, d_max: int, n_marks_max: int):
+    """Yield the associativity identities within bounds as (quad, back, d).
+
+    quad is a multiset of four basis elements, back a background multiset
+    of at most n_marks_max - 4 more, d a curve class of degree at most
+    d_max; only identities that pass the dimension constraint are yielded.
+    """
+    basis = [b for c in range(space.dim + 1) for b in space.basis_of_codim(c)]
+    backgrounds = [
+        (back, sum(map(sum, back)) - len(back))
+        for size in range(max(0, n_marks_max - 4) + 1)
+        for back in itertools.combinations_with_replacement(basis, size)
+    ]
+    degrees = [(d, space.dim + space.c1_degree(d)) for d in space.curve_classes(d_max)]
+    for quad in itertools.combinations_with_replacement(basis, 4):
+        quad_codim = sum(map(sum, quad))
+        for back, back_excess in backgrounds:
+            for d, needed in degrees:
+                if quad_codim + back_excess == needed:
+                    yield quad, back, d
 
 
-def _monomials_of_codim(space, c: int):
-    key = (space.k, space.n)
-    table = _mono_by_codim_cache.get(key)
-    if table is None:
-        table = {}
-        for mono in space.monomials():
-            table.setdefault(sum(mono), []).append(mono)
-        _mono_by_codim_cache[key] = table
-    return table.get(c, ())
+def wdvv_failures(space, d_max: int, n_marks_max: int, value):
+    """Yield (quad, back, d, (E(a,b|c,e), E(a,c|b,e), E(a,e|b,c))) for every
+    identity of wdvv_identities whose three contractions disagree."""
+    for quad, back, d in wdvv_identities(space, d_max, n_marks_max):
+        a, b, c, e = quad
+        splits = space.splittings(d)
+        sides = (
+            wdvv_contraction(space, a, b, c, e, back, splits, value),
+            wdvv_contraction(space, a, c, b, e, back, splits, value),
+            wdvv_contraction(space, a, e, b, c, back, splits, value),
+        )
+        if sides[0] != sides[1] or sides[1] != sides[2]:
+            yield quad, back, d, sides
 
 
 def two_point(space: ProductSpace, a: Mono, b: Mono, d: tuple, store: MemoStore) -> Fraction:
@@ -386,55 +439,11 @@ def gw_of_classes(space: ProductSpace, classes, d: tuple, store: MemoStore) -> F
 def check_wdvv(space: ProductSpace, d_total_max: int, n_marks_max: int, store: MemoStore) -> list[dict]:
     """Verify associativity constraints for all quadruples of basis monomials
     with backgrounds and degrees within bounds.  Returns the violations."""
-    violations = []
-    monos = space.monomials()
-    degrees = [
-        dd
-        for dd in itertools.product(range(d_total_max + 1), repeat=space.k)
-        if sum(dd) <= d_total_max
+
+    def value(marks, d):
+        return _gw(space, tuple(sorted(marks, reverse=True)), d, store, "default", None)
+
+    return [
+        {"quad": quad, "background": back, "degree": d, "values": sides}
+        for quad, back, d, sides in wdvv_failures(space, d_total_max, n_marks_max, value)
     ]
-    max_back = max(0, n_marks_max - 4)
-    backgrounds = []
-    for size in range(max_back + 1):
-        backgrounds.extend(itertools.combinations_with_replacement(monos, size))
-    for quad in itertools.combinations_with_replacement(monos, 4):
-        for back in backgrounds:
-            codim_sum = sum(sum(e) for e in quad) + sum(sum(e) for e in back)
-            for dd in degrees:
-                if codim_sum != space.dim + space.c1_degree(dd) + len(back):
-                    continue
-                a, b, c, e = quad
-                lhs = _wdvv_side(space, a, b, c, e, back, dd, store)
-                mid = _wdvv_side(space, a, c, b, e, back, dd, store)
-                rhs = _wdvv_side(space, a, e, b, c, back, dd, store)
-                if lhs != mid or mid != rhs:
-                    violations.append(
-                        {"quad": quad, "background": back, "degree": dd,
-                         "values": (lhs, mid, rhs)}
-                    )
-    return violations
-
-
-def _wdvv_side(space, u, v, x, y, back, d, store) -> Fraction:
-    total = Fraction(0)
-    base = sum(u) + sum(v)
-    for s_mask in range(1 << len(back)):
-        S = tuple(back[j] for j in range(len(back)) if s_mask >> j & 1)
-        T = tuple(back[j] for j in range(len(back)) if not s_mask >> j & 1)
-        s_codim = base + sum(sum(e) for e in S)
-        for e in itertools.product(*[range(t + 1) for t in d]):
-            f = tuple(t - s for t, s in zip(d, e))
-            mu_codim = space.dim + space.c1_degree(e) + len(S) - s_codim
-            if not 0 <= mu_codim <= space.dim:
-                continue
-            for mu in _monomials_of_codim(space, mu_codim):
-                left = _gw(space, tuple(sorted((u, v, mu) + S, reverse=True)), e, store, "default", None)
-                if not left:
-                    continue
-                right = _gw(
-                    space,
-                    tuple(sorted((space.dual(mu), x, y) + T, reverse=True)),
-                    f, store, "default", None,
-                )
-                total += left * right
-    return total

@@ -1,7 +1,8 @@
 """Command-line front end: invariants, verification suites, tables, cache.
 
-Exit codes: 0 success, 1 violations found, 2 usage error, 3 cache-version
-error.  The environment variable ABELIANIZER_CACHE overrides --cache.
+Exit codes: 0 success, 1 violations found, 2 usage error, 3 cache error
+(wrong version header or a malformed entry).  The environment variable
+ABELIANIZER_CACHE overrides --cache.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 
 from .partitions import BoxSpec, Partition, box_partitions, multidegree_text, parse_partition
 from .cohomology import ProductSpace
-from .abelian_gw import CacheVersionError, MemoStore, check_wdvv, gw_invariant
+from .abelian_gw import CacheFormatError, MemoStore, check_wdvv, gw_invariant, wdvv_identities
 from . import grassmannian
 from .correspondence import (
     AssembledInvariants,
@@ -56,17 +57,15 @@ class RunConfig:
     n: int
     max_degree: int = 2
     max_insertions: int = 5
-    z_depth: int = 8
     suites: tuple = ("all",)
     cache: str = None
     fmt: str = "json"
     seed: int = 0
-    jobs: int = 1
 
     def __post_init__(self):
         if self.k < 1 or self.n < 2:
             raise ValueError("need k >= 1 and n >= 2")
-        if min(self.max_degree, self.max_insertions, self.z_depth, self.jobs) < 0:
+        if min(self.max_degree, self.max_insertions) < 0:
             raise ValueError("bounds must be nonnegative")
         bad = [s for s in self.suites if s != "all" and s not in SUITES]
         if bad:
@@ -205,35 +204,11 @@ def _suite_five_point_symmetry(cfg: RunConfig, store: MemoStore, min_samples: in
     return Report("five-point-symmetry", count, violations, time.time() - t0, store.stats())
 
 
-def _count_wdvv_instances(labels, weights, dim, d_range, n_marks_max):
-    """Identity instances surviving the dimension filter (no evaluation)."""
-    count = 0
-    max_back = max(0, n_marks_max - 4)
-    backgrounds = []
-    for size in range(max_back + 1):
-        backgrounds.extend(itertools.combinations_with_replacement(range(len(labels)), size))
-    for quad in itertools.combinations_with_replacement(range(len(labels)), 4):
-        wq = sum(weights[i] for i in quad)
-        for back in backgrounds:
-            w = wq + sum(weights[i] for i in back)
-            for c1 in d_range:
-                if w == dim + c1 + len(back):
-                    count += 1
-    return count
-
-
 def _suite_wdvv_abelian(cfg: RunConfig, store: MemoStore) -> Report:
     t0 = time.time()
     space = cfg.space()
     violations = check_wdvv(space, cfg.max_degree, cfg.max_insertions, store)
-    monos = space.monomials()
-    degrees = [
-        space.c1_degree(dd)
-        for dd in itertools.product(range(cfg.max_degree + 1), repeat=space.k)
-        if sum(dd) <= cfg.max_degree
-    ]
-    count = _count_wdvv_instances(monos, [sum(e) for e in monos], space.dim,
-                                  degrees, cfg.max_insertions)
+    count = sum(1 for _ in wdvv_identities(space, cfg.max_degree, cfg.max_insertions))
     return Report("wdvv-abelian", count, violations, time.time() - t0, store.stats())
 
 
@@ -241,10 +216,7 @@ def _suite_wdvv_grass(cfg: RunConfig, store: MemoStore) -> Report:
     t0 = time.time()
     box = cfg.box()
     violations = assemble_and_check_wdvv(box, cfg.max_degree, cfg.max_insertions, store)
-    parts = box_partitions(box)
-    count = _count_wdvv_instances(parts, [p.weight for p in parts], box.dim,
-                                  [box.n * d for d in range(cfg.max_degree + 1)],
-                                  cfg.max_insertions)
+    count = sum(1 for _ in wdvv_identities(box, cfg.max_degree, cfg.max_insertions))
     return Report("wdvv-grass", count, violations, time.time() - t0, store.stats())
 
 
@@ -368,9 +340,8 @@ def cmd_verify(args, parser) -> int:
     try:
         cfg = RunConfig(
             k=args.k, n=args.n, max_degree=args.max_degree,
-            max_insertions=args.max_insertions, z_depth=args.z_depth,
-            suites=tuple(args.suite), cache=_resolve_cache(args),
-            fmt=args.format, seed=args.seed, jobs=args.jobs,
+            max_insertions=args.max_insertions, suites=tuple(args.suite),
+            cache=_resolve_cache(args), fmt=args.format, seed=args.seed,
         )
     except ValueError as exc:
         parser.error(str(exc))
@@ -411,10 +382,7 @@ def _grass_rows(cfg: RunConfig, store: MemoStore):
 def _abelian_rows(cfg: RunConfig, store: MemoStore):
     space = cfg.space()
     monos = space.monomials()
-    degrees = [
-        dd for dd in itertools.product(range(cfg.max_degree + 1), repeat=space.k)
-        if 0 < sum(dd) <= cfg.max_degree
-    ]
+    degrees = [dd for dd in space.curve_classes(cfg.max_degree) if any(dd)]
     for m in range(3, cfg.max_insertions + 1):
         for combo in itertools.combinations_with_replacement(monos, m):
             for dd in degrees:
@@ -482,9 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"suite name or 'all'; known: {', '.join(SUITES)}")
     p_ver.add_argument("--max-degree", type=int, default=2)
     p_ver.add_argument("--max-insertions", type=int, default=5)
-    p_ver.add_argument("--z-depth", type=int, default=8)
     p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--jobs", type=int, default=1, help="accepted for interface stability; suites run serially")
 
     p_tab = sub.add_parser("table", help="emit a table of invariants within bounds")
     common(p_tab)
@@ -507,7 +473,7 @@ def main(argv=None) -> int:
             return cmd_verify(args, parser)
         if args.command == "table":
             return cmd_table(args, parser)
-    except CacheVersionError as exc:
+    except CacheFormatError as exc:
         print(f"cache error: {exc}", file=sys.stderr)
         return 3
     parser.error("unknown command")

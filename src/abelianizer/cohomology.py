@@ -18,9 +18,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb, factorial
 
-from .partitions import BoxSpec, Partition, box_partitions, complement, schur_polynomial
+from .partitions import BoxSpec, Partition, _perm_sign, box_partitions, complement, schur_polynomial
 
 Poly = dict  # {exponent vector: Fraction}
 
@@ -58,6 +59,28 @@ class ProductSpace:
     def c1_degree(self, d: tuple[int, ...]) -> int:
         """Pairing of c_1(T) with a multidegree: n per unit of each factor."""
         return self.n * sum(d)
+
+    def basis_of_codim(self, c: int) -> list:
+        """The basis monomials of total degree c, in the order of monomials()."""
+        return self._basis_by_codim.get(c, [])
+
+    @cached_property
+    def _basis_by_codim(self) -> dict:
+        table = {}
+        for mono in self.monomials():
+            table.setdefault(sum(mono), []).append(mono)
+        return table
+
+    def curve_classes(self, d_max: int) -> list:
+        """Multidegrees of total degree at most d_max."""
+        return [d for d in itertools.product(range(d_max + 1), repeat=self.k) if sum(d) <= d_max]
+
+    def splittings(self, d: tuple[int, ...]) -> list:
+        """All (e, f) with e + f = d, both effective multidegrees."""
+        return [
+            (e, tuple(x - y for x, y in zip(d, e)))
+            for e in itertools.product(*(range(x + 1) for x in d))
+        ]
 
 
 def space_of(box: BoxSpec) -> ProductSpace:
@@ -222,25 +245,11 @@ def weyl_action(perm: tuple[int, ...], a: PClass) -> PClass:
     return PClass(a.space, terms, a.cgrade)
 
 
-def _perm_sign(perm) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
-
-
 def delta(space: ProductSpace) -> PClass:
     """The Vandermonde product prod_{i<j} (H_i - H_j), cgrade 0."""
     out = unit(space)
-    for i in range(space.k):
-        for j in range(i + 1, space.k):
-            ei, ej = [0] * space.k, [0] * space.k
-            ei[i] = 1
-            ej[j] = 1
-            root = PClass(space, {tuple(ei): Fraction(1), tuple(ej): Fraction(-1)})
-            out = cup(out, root)
+    for root in root_classes(space):
+        out = cup(out, root)
     return out
 
 

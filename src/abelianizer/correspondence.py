@@ -38,7 +38,7 @@ from .cohomology import (
     scale as cls_scale,
     space_of,
 )
-from .abelian_gw import MemoStore, gw_of_classes, small_quantum_product
+from .abelian_gw import MemoStore, gw_of_classes, small_quantum_product, wdvv_failures
 
 
 # ---------------------------------------------------------------------------
@@ -72,8 +72,6 @@ def LiftedTimesOmega(lam) -> Insertion:
 
 OMEGA = Insertion("omega")
 
-_bracket_cache: dict = {}
-
 
 def _realize(ins: Insertion, box: BoxSpec) -> PClass:
     space = space_of(box)
@@ -97,8 +95,8 @@ def i_bracket(insertions, d: int, box: BoxSpec, store: MemoStore, eps_off: bool 
     """
     ins = tuple(sorted(insertions, key=repr))
     key = (box, ins, d, eps_off)
-    if key in _bracket_cache:
-        return _bracket_cache[key]
+    if key in store.brackets:
+        return store.brackets[key]
     space = space_of(box)
     classes = [_realize(i, box) for i in ins]
     total = Fraction(0)
@@ -112,7 +110,7 @@ def i_bracket(insertions, d: int, box: BoxSpec, store: MemoStore, eps_off: bool 
     else:
         sign = 1 if eps_off else (-1) ** epsilon(d, box.k)
         value = sign * total
-    _bracket_cache[key] = value
+    store.brackets[key] = value
     return value
 
 
@@ -575,48 +573,7 @@ def assemble_and_check_wdvv(box: BoxSpec, d_max: int, l_max: int, store: MemoSto
     for all quadruples of Schubert classes, backgrounds and degrees with at
     most l_max marks and degree at most d_max.  Returns violations."""
     inv = AssembledInvariants(box, store, corrupt_epsilon)
-    basis = box_partitions(box)
-    violations = []
-    max_back = max(0, l_max - 4)
-    backgrounds = []
-    for size in range(max_back + 1):
-        backgrounds.extend(itertools.combinations_with_replacement(basis, size))
-    for quad in itertools.combinations_with_replacement(basis, 4):
-        for back in backgrounds:
-            wsum = sum(p.weight for p in quad) + sum(p.weight for p in back)
-            for d in range(d_max + 1):
-                if wsum != box.dim + box.n * d + len(back):
-                    continue
-                a, b, c, e = quad
-                lhs = _wdvv_side_gr(inv, a, b, c, e, back, d)
-                mid = _wdvv_side_gr(inv, a, c, b, e, back, d)
-                rhs = _wdvv_side_gr(inv, a, e, b, c, back, d)
-                if lhs != mid or mid != rhs:
-                    violations.append(
-                        {"quad": quad, "background": back, "d": d, "values": (lhs, mid, rhs)}
-                    )
-    return violations
-
-
-def _wdvv_side_gr(inv: AssembledInvariants, u, v, x, y, back, d) -> Fraction:
-    box = inv.box
-    basis = box_partitions(box)
-    total = Fraction(0)
-    for s_mask in range(1 << len(back)):
-        S = tuple(back[j] for j in range(len(back)) if s_mask >> j & 1)
-        T = tuple(back[j] for j in range(len(back)) if not s_mask >> j & 1)
-        for e in range(d + 1):
-            f = d - e
-            left_w = u.weight + v.weight + sum(p.weight for p in S)
-            mu_weight = box.dim + box.n * e + len(S) - left_w
-            if not 0 <= mu_weight <= box.dim:
-                continue
-            for mu in basis:
-                if mu.weight != mu_weight:
-                    continue
-                left = inv.value((u, v, mu) + S, e)
-                if not left:
-                    continue
-                right = inv.value((complement(mu, box), x, y) + T, f)
-                total += left * right
-    return total
+    return [
+        {"quad": quad, "background": back, "d": d, "values": sides}
+        for quad, back, d, sides in wdvv_failures(box, d_max, l_max, inv.value)
+    ]

@@ -335,12 +335,11 @@ class ZSeries:
     coefficients maps (q_power, z_power) to {basis label: Fraction}.  For
     J-type series the (0, 1) coefficient is the unit class (J = z + ...).
     Fano grading keeps every z-expansion a finite Laurent polynomial, so
-    z_depth records the guaranteed exactness depth rather than a cutoff.
+    there is no z cutoff.
     """
 
     coefficients: dict
     q_trunc: int
-    z_depth: int
 
     def coefficient(self, q_power: int, z_power: int) -> dict:
         return self.coefficients.get((q_power, z_power), {})
@@ -354,14 +353,14 @@ class ZSeries:
         return out
 
 
-def j_function(box: BoxSpec, q_trunc: int, z_depth: int = 8) -> ZSeries:
+def j_function(box: BoxSpec, q_trunc: int) -> ZSeries:
     """Small J-function of Gr(k, n) on the divisor locus, at t = 0.
 
     J = z * sum_d Q^d (R_d applied to the unit class); the q^0 term is
     z * sigma_empty.  Coefficients are exact finite Laurent polynomials.
     """
-    if q_trunc < 1 or z_depth < 1:
-        raise ValueError("truncation orders must be >= 1")
+    if q_trunc < 1:
+        raise ValueError("truncation order must be >= 1")
     fund = fundamental_solution(box)
     basis = fund.basis
     unit_col = basis.index(Partition())
@@ -372,4 +371,4 @@ def j_function(box: BoxSpec, q_trunc: int, z_depth: int = 8) -> ZSeries:
             entry = coeffs.setdefault((d, zp + 1), {})
             for i, c in rows.items():
                 entry[basis[i]] = entry.get(basis[i], Fraction(0)) + c
-    return ZSeries({kq: v for kq, v in coeffs.items() if any(v.values())}, q_trunc, z_depth)
+    return ZSeries({kq: v for kq, v in coeffs.items() if any(v.values())}, q_trunc)

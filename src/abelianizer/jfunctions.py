@@ -15,7 +15,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .partitions import BoxSpec, Partition, binomial_fraction, box_partitions, epsilon, lifts
-from .cohomology import ProductSpace, poly_add, poly_mul, poly_scale, space_of
+from .cohomology import (
+    PClass,
+    ProductSpace,
+    c_squared,
+    cup,
+    delta,
+    divide_by_omega,
+    lift,
+    poly_add,
+    poly_mul,
+    poly_scale,
+    space_of,
+)
 from .grassmannian import FundamentalSolution
 
 LPoly = dict  # {z power: {exponent vector: Fraction}}
@@ -216,34 +228,7 @@ def i_function(box: BoxSpec, d_max: int) -> ISeries:
 
 
 # ---------------------------------------------------------------------------
-# expansion in the anti-invariant basis and the C^i solve
-
-def anti_invariant_expand(poly: dict, box: BoxSpec) -> dict[Partition, Fraction]:
-    """Expand an anti-invariant polynomial over the bialternants S_lam * Delta.
-
-    Coefficients are read off the strictly decreasing exponents lam + the
-    staircase; exact reconstruction is verified, so a non-anti-invariant
-    input raises ValueError.
-    """
-    from .cohomology import PClass, cup, delta, lift, add as cls_add, scale as cls_scale
-
-    space = space_of(box)
-    k = box.k
-    staircase = tuple(range(k - 1, -1, -1))
-    coeffs = {}
-    for lam in box_partitions(box):
-        e = tuple(lam.padded(k)[i] + staircase[i] for i in range(k))
-        c = poly.get(e, Fraction(0))
-        if c:
-            coeffs[lam] = c
-    recon = PClass(space)
-    d = delta(space)
-    for lam, c in coeffs.items():
-        recon = cls_add(recon, cls_scale(cup(lift(lam, box), d), c))
-    if recon.terms != {e: c for e, c in poly.items() if c}:
-        raise ValueError("polynomial is not in the span of {S_lam * Delta}")
-    return coeffs
-
+# the C^i solve
 
 @dataclass
 class CSolveResult:
@@ -286,8 +271,6 @@ def solve_c_coefficients(iseries: ISeries, fund: FundamentalSolution, box: BoxSp
     residual violations.  The system is triangular across Novikov degrees
     with an invertible diagonal block, so the solve is exact and unique.
     """
-    from .cohomology import c_squared
-
     if d_max is None:
         d_max = iseries.d_max
     space = space_of(box)
@@ -295,9 +278,7 @@ def solve_c_coefficients(iseries: ISeries, fund: FundamentalSolution, box: BoxSp
     r = c_squared(box.k)
 
     # Gr side building blocks: G[e][lam] = lift(R_e column_lam) * Delta as LPoly
-    from .cohomology import cup as _cup, delta as _delta, lift as _lift
-
-    dl = _delta(space)
+    dl = delta(space)
     gr_cols: dict[int, dict[Partition, LPoly]] = {}
     for e in range(d_max + 1):
         cols = {}
@@ -307,7 +288,7 @@ def solve_c_coefficients(iseries: ISeries, fund: FundamentalSolution, box: BoxSp
             for zp, rows in col.items():
                 vec = {}
                 for i, c in rows.items():
-                    vec = poly_add(vec, poly_scale(_cup(_lift(basis[i], box), dl).terms, c))
+                    vec = poly_add(vec, poly_scale(cup(lift(basis[i], box), dl).terms, c))
                 if vec:
                     lp[zp] = vec
             cols[lam] = lp
@@ -332,7 +313,7 @@ def solve_c_coefficients(iseries: ISeries, fund: FundamentalSolution, box: BoxSp
         expanded: dict[Partition, dict[int, Fraction]] = {}
         for zp, poly in known.items():
             try:
-                row = anti_invariant_expand(poly, box)
+                row = divide_by_omega(PClass(space, poly, 1), box)
             except ValueError:
                 residual.append({"d": d, "z": zp, "value": "not anti-invariant"})
                 continue

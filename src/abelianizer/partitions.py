@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 
 # Per-hook sign rule for quantum reduction.  "k_minus_height" is the
@@ -51,6 +52,33 @@ class BoxSpec:
     def dim(self) -> int:
         """Complex dimension of Gr(k, n)."""
         return self.k * (self.n - self.k)
+
+    def c1_degree(self, d: int) -> int:
+        """Pairing of c_1(T Gr(k, n)) with d times the line class."""
+        return self.n * d
+
+    def dual(self, lam: Partition) -> Partition:
+        """Poincare-dual Schubert class: the complement in the box."""
+        return complement(lam, self)
+
+    def basis_of_codim(self, c: int) -> list:
+        """The box partitions of weight c, in the fixed total order."""
+        return self._basis_by_codim.get(c, [])
+
+    @cached_property
+    def _basis_by_codim(self) -> dict:
+        table = {}
+        for lam in box_partitions(self):
+            table.setdefault(lam.weight, []).append(lam)
+        return table
+
+    def curve_classes(self, d_max: int):
+        """Curve classes of degree at most d_max."""
+        return range(d_max + 1)
+
+    def splittings(self, d: int) -> list:
+        """All (e, f) with e + f = d."""
+        return [(e, d - e) for e in range(d + 1)]
 
 
 class Partition:

@@ -1,4 +1,5 @@
 import itertools
+import os
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from abelianizer.cohomology import PClass, ProductSpace, add, cup, scale, unit, variable
 from abelianizer.abelian_gw import (
     CacheConsistencyError,
+    CacheFormatError,
     CacheVersionError,
     MemoStore,
     check_wdvv,
@@ -227,6 +229,47 @@ def test_memo_store_version_error(tmp_path):
     path.write_text("some other header\n")
     with pytest.raises(CacheVersionError):
         MemoStore().load(path)
+
+
+@pytest.mark.parametrize("entry", [
+    "2,2|1,1|1.1;1.1",                  # truncated: no value
+    "2,2|1,1|1.1;1.1;1.1\t1/x",         # non-integer value
+    "2,2|1,1|1.1;1.1;1.1\t1/0",         # zero denominator
+    "2,2|1,1\t1/1",                     # key without insertions
+    "2,2|1,1|1.1;1.1;1.x\t1/1",         # non-integer exponent
+])
+def test_memo_store_malformed_entry(tmp_path, entry):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"{MemoStore.VERSION}\n{entry}\n")
+    with pytest.raises(CacheFormatError, match=":2: malformed entry"):
+        MemoStore().load(path)
+
+
+def test_memo_store_conflicting_entries(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"{MemoStore.VERSION}\n2,2|1,1|1.1;1.1;1.1\t1/1\n2,2|1,1|1.1;1.1;1.1\t2/1\n")
+    with pytest.raises(CacheFormatError, match=":3: conflicting entry"):
+        MemoStore().load(path)
+
+
+def test_memo_store_save_is_atomic(tmp_path, monkeypatch):
+    # a save that fails before its rename leaves the old file whole and no
+    # temporary file behind
+    path = tmp_path / "cache.txt"
+    st = MemoStore()
+    gw_invariant(PP, [(1, 1)] * 3, (1, 1), st)
+    st.save(path)
+    before = path.read_text()
+    gw_invariant(PP, [(1, 1), (1, 1), (1, 0), (0, 1)], (1, 1), st)
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError):
+        st.save(path)
+    assert path.read_text() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["cache.txt"]
 
 
 def test_memo_store_idempotent_and_consistent():

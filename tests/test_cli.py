@@ -5,7 +5,11 @@ import sys
 
 import pytest
 
-from abelianizer.cli import RunConfig, main
+from abelianizer.abelian_gw import MemoStore
+from abelianizer.cli import RunConfig, main, run_suites
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TRUNCATED_CACHE = f"{MemoStore.VERSION}\n2,4|1,0|3.2;3.1;1.0\n"
 
 
 def run_cli(argv):
@@ -78,6 +82,41 @@ def test_cache_version_error(tmp_path):
     assert code == 3
 
 
+def test_cache_malformed_entry(tmp_path, capsys):
+    bad = tmp_path / "bad.cache"
+    bad.write_text(TRUNCATED_CACHE)
+    code = run_cli(["verify", "--k", "2", "--n", "4", "--suite", "martin",
+                    "--cache", str(bad)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("cache error: ") and err.count("\n") == 1
+
+
+def test_verify_all_malformed_cache(tmp_path):
+    bad = tmp_path / "bad.cache"
+    bad.write_text(TRUNCATED_CACHE)
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "verify_all.py"), "--cache", str(bad)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("cache error: ") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("suite, k, n, max_degree, max_insertions, instances", [
+    ("wdvv-abelian", 2, 4, 1, 5, 9089),
+    ("wdvv-abelian", 2, 2, 2, 6, 462),
+    ("wdvv-grass", 2, 4, 2, 6, 788),
+    ("wdvv-grass", 2, 5, 2, 5, 1369),
+])
+def test_wdvv_instance_counts(suite, k, n, max_degree, max_insertions, instances, store):
+    # instances_per_s in the benchmark divides by these counts
+    cfg = RunConfig(k=k, n=n, max_degree=max_degree, max_insertions=max_insertions,
+                    suites=(suite,))
+    (report,) = run_suites(cfg, store)
+    assert report.passed and report.instances == instances
+
+
 def test_cache_roundtrip(tmp_path, capsys):
     cache = tmp_path / "warm.cache"
     args = ["verify", "--k", "2", "--n", "4", "--suite", "two-point",
@@ -147,9 +186,8 @@ def test_run_config_validation():
 
 
 def test_correction_demo_script_runs():
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     proc = subprocess.run(
-        [sys.executable, os.path.join(root, "scripts", "correction_demo.py")],
+        [sys.executable, os.path.join(ROOT, "scripts", "correction_demo.py")],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from abelianizer.partitions import BoxSpec, Partition, box_partitions
+from abelianizer.abelian_gw import MemoStore
 from abelianizer.cohomology import cup, lift, martin_integral
 from abelianizer import grassmannian as gr
 from abelianizer.correspondence import (
@@ -311,6 +312,15 @@ def test_mirror_reversion_synthetic():
     mm = MirrorMapSeries(B24, order, forward, inverse)
     defects = mirror_roundtrip_defect(B24, mm)
     assert all(not d for d in defects.values()), defects
+
+
+def test_bracket_cache_dies_with_store():
+    # brackets computed on a clean store must not answer for a store that
+    # holds a wrong 3-point invariant
+    assert check_two_point(B24, 1, MemoStore()) == []
+    bad = MemoStore()
+    bad.put(MemoStore.parse_key_text("2,4|1,0|3.2;3.1;1.0"), Fraction(7))
+    assert len(check_two_point(B24, 1, bad)) == 1
 
 
 def test_assembled_wdvv(store):

@@ -3,10 +3,18 @@ from fractions import Fraction
 import pytest
 
 from abelianizer.partitions import BoxSpec, Partition, epsilon
-from abelianizer.cohomology import cup, delta, lift, poly_add, poly_scale, space_of
+from abelianizer.cohomology import (
+    PClass,
+    cup,
+    delta,
+    divide_by_omega,
+    lift,
+    poly_add,
+    poly_scale,
+    space_of,
+)
 from abelianizer.grassmannian import fundamental_solution
 from abelianizer.jfunctions import (
-    anti_invariant_expand,
     apply_abelian_solution,
     i_function,
     j_function_P,
@@ -145,9 +153,9 @@ def test_anti_invariant_expand_roundtrip():
         cup(lift(P(2, 1), B24), dl).terms,
         poly_scale(cup(lift(P(1), B24), dl).terms, Fraction(-3, 2)),
     )
-    assert anti_invariant_expand(poly, B24) == {P(2, 1): 1, P(1): Fraction(-3, 2)}
+    assert divide_by_omega(PClass(space, poly, 1), B24) == {P(2, 1): 1, P(1): Fraction(-3, 2)}
     with pytest.raises(ValueError):
-        anti_invariant_expand({(1, 0): Fraction(1)}, B24)
+        divide_by_omega(PClass(space, {(1, 0): Fraction(1)}, 1), B24)
 
 
 @pytest.mark.parametrize("kn", [(2, 4), (2, 5)])
