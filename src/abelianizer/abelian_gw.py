@@ -81,6 +81,10 @@ class MemoStore:
         self.misses = 0
         self.brackets: dict = {}
         self._lock = threading.Lock()
+        # (absolute path, file stamp) of the cache file last loaded or saved,
+        # and whether the store may hold a key that file lacks
+        self._synced = None
+        self._changed = False
 
     def __len__(self):
         return len(self.data)
@@ -96,70 +100,148 @@ class MemoStore:
     def put(self, key, value: Fraction):
         with self._lock:
             old = self.data.get(key)
-            if old is not None and old != value:
+            if old is None:
+                self.data[key] = value
+                self._changed = True
+            elif old != value:
                 raise CacheConsistencyError(f"{key}: stored {old}, recomputed {value}")
-            self.data[key] = value
 
     def stats(self) -> dict:
         return {"entries": len(self.data), "hits": self.hits, "misses": self.misses}
 
     @staticmethod
-    def key_text(key) -> str:
+    def key_text(key, pieces=None) -> str:
+        """k,n|d_1,...,d_k|e.e;e.e;... for the key (k, n, d, insertions).
+
+        pieces, a pair of dicts kept across calls, holds the text of each
+        multidegree and of each monomial already formatted; a store has a
+        few dozen of them.
+        """
+        commas, dots = pieces or ({}, {})
         k, n, d, ins = key
-        return "{},{}|{}|{}".format(
-            k, n, ",".join(str(x) for x in d),
-            ";".join(".".join(str(x) for x in m) for m in ins),
-        )
+        ins_text = ";".join([_piece_text(dots, m, ".") for m in ins])
+        return f"{k},{n}|{_piece_text(commas, d, ',')}|{ins_text}"
 
     @staticmethod
-    def parse_key_text(text: str):
+    def parse_key_text(text: str, pieces=None):
+        """The key whose key_text is text.  pieces, a pair of dicts kept
+        across calls, holds the value of each comma- and dot-separated piece
+        of text already parsed."""
+        commas, dots = pieces or ({}, {})
         head, dpart, ipart = text.split("|")
-        k, n = (int(x) for x in head.split(","))
-        d = tuple(int(x) for x in dpart.split(","))
-        ins = tuple(tuple(int(x) for x in m.split(".")) for m in ipart.split(";")) if ipart else ()
+        k, n = _parse_piece(commas, head, ",")
+        d = _parse_piece(commas, dpart, ",")
+        ins = tuple([_parse_piece(dots, m, ".") for m in ipart.split(";")]) if ipart else ()
         return (k, n, d, ins)
 
     def save(self, path=None):
+        """Write the store to path (default self.path): the header, then one
+        line per entry, sorted by key text.
+
+        A store that added no key since it loaded or saved this file leaves
+        the file untouched.  Otherwise, when the file changed since the
+        store last read or wrote it (or the store never did), its entries
+        are read in first, so that two writers keep each other's.  Nothing
+        locks the file: a writer that saves between that read and the
+        rename below is still lost.
+        """
         path = path or self.path
         if path is None:
             raise ValueError("no cache path configured")
-        lines = [self.VERSION]
-        for key in sorted(self.data, key=self.key_text):
-            v = self.data[key]
-            lines.append(f"{self.key_text(key)}\t{v.numerator}/{v.denominator}")
+        target = os.path.abspath(path)
+        try:
+            stamp = _file_stamp(os.stat(path))
+        except FileNotFoundError:
+            stamp = None
+        if stamp is not None:
+            if not self._changed and self._synced and self._synced[0] == target:
+                return
+            if self._synced != (target, stamp):
+                self.load(path)
+        with self._lock:
+            items = list(self.data.items())
+            self._changed = False
+        pieces = ({}, {})
+        # sorting whole lines sorts by key text: the tab sorts below every
+        # character of a key
+        lines = sorted([f"{self.key_text(key, pieces)}\t{v.numerator}/{v.denominator}"
+                        for key, v in items])
         # write a sibling file and rename it over the target, so that a
         # reader never sees a half-written cache
         tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
         try:
             with open(tmp, "w") as fh:
-                fh.write("\n".join(lines) + "\n")
+                fh.write("\n".join([self.VERSION, *lines]) + "\n")
+                fh.flush()
+                stamp = _file_stamp(os.fstat(fh.fileno()))
             os.replace(tmp, path)
         except BaseException:
+            self._changed = True
             if os.path.exists(tmp):
                 os.remove(tmp)
             raise
+        self._synced = (target, stamp)
 
     def load(self, path=None):
+        """Read the entries of the cache file at path (default self.path).
+
+        Raises CacheVersionError on a wrong header, and CacheFormatError on a
+        malformed entry or on one that contradicts another entry or this
+        store; the store is then unchanged.
+        """
         path = path or self.path
         with open(path) as fh:
-            header = fh.readline().rstrip("\n")
-            if header != self.VERSION:
-                raise CacheVersionError(f"expected {self.VERSION!r}, found {header!r}")
-            for lineno, line in enumerate(fh, start=2):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                try:
-                    key_text, val_text = line.split("\t")
+            stamp = _file_stamp(os.fstat(fh.fileno()))
+            header, _, body = fh.read().partition("\n")
+        if header != self.VERSION:
+            raise CacheVersionError(f"expected {self.VERSION!r}, found {header!r}")
+        entries, pieces, values = {}, ({}, {}), {}
+        for lineno, line in enumerate(body.split("\n"), start=2):
+            if not line:
+                continue
+            try:
+                key_text, val_text = line.split("\t")
+                key = self.parse_key_text(key_text, pieces)
+                value = values.get(val_text)
+                if value is None:
                     num, den = val_text.split("/")
-                    key, value = self.parse_key_text(key_text), Fraction(int(num), int(den))
-                except (ValueError, ZeroDivisionError):
-                    raise CacheFormatError(f"{path}:{lineno}: malformed entry {line!r}") from None
-                try:
-                    self.put(key, value)
-                except CacheConsistencyError as exc:
-                    raise CacheFormatError(f"{path}:{lineno}: conflicting entry: {exc}") from None
+                    value = values[val_text] = Fraction(int(num), int(den))
+            except (ValueError, ZeroDivisionError):
+                raise CacheFormatError(f"{path}:{lineno}: malformed entry {line!r}") from None
+            old = entries.setdefault(key, value)
+            # one Fraction per value text, so a repeat is the same object
+            if old is not value and old != value:
+                raise CacheFormatError(
+                    f"{path}:{lineno}: conflicting entry: {key}: {old} earlier, {value} here")
+        with self._lock:
+            for key, value in entries.items():
+                old = self.data.get(key)
+                if old is not None and old != value:
+                    raise CacheFormatError(
+                        f"{path}: conflicting entry: {key}: {value} in the file, {old} in the store")
+            self.data.update(entries)
+            self._changed = len(self.data) > len(entries)
+            self._synced = (os.path.abspath(path), stamp)
         return self
+
+
+def _file_stamp(st) -> tuple:
+    # what changes when a writer replaces the file or rewrites it in place
+    return (st.st_ino, st.st_size, st.st_mtime_ns)
+
+
+def _piece_text(memo: dict, ints: tuple, sep: str) -> str:
+    text = memo.get(ints)
+    if text is None:
+        text = memo[ints] = sep.join(map(str, ints))
+    return text
+
+
+def _parse_piece(memo: dict, text: str, sep: str) -> tuple:
+    ints = memo.get(text)
+    if ints is None:
+        ints = memo[text] = tuple([int(x) for x in text.split(sep)])
+    return ints
 
 
 def small_quantum_product(a: PClass, b: PClass) -> dict[tuple, PClass]:

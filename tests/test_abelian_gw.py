@@ -141,17 +141,19 @@ def test_divisor_axiom_self_consistency(store):
 
 
 def test_pivot_policy_independence():
-    # same values from a different WDVV pivot policy, fresh caches
+    # the known value from either WDVV pivot policy, fresh caches: agreement
+    # alone passes an engine that drops a reconstruction term under both
     cases = [
-        (PP, [(1, 1)] * 5, (1, 2)),
-        (PP, [(1, 1)] * 7, (2, 2)),
-        (P2, [(2,)] * 8, (3,)),
-        (P3, [(2,), (2,), (3,), (3,)], (1,)),
+        (PP, [(1, 1)] * 5, (1, 2), 1),
+        (PP, [(1, 1)] * 7, (2, 2), 12),   # conics on P1 x P1 through 7 points
+        (P2, [(2,)] * 8, (3,), 12),       # N_3, cubics through 8 points
+        (P3, [(2,), (2,), (3,), (3,)], (1,), 0),
+        (P3, [(2,)] * 4, (1,), 2),        # lines meeting 4 lines in P^3
     ]
-    for space, ins, d in cases:
+    for space, ins, d, expected in cases:
         v_default = gw_invariant(space, ins, d, MemoStore(), policy="default")
         v_alt = gw_invariant(space, ins, d, MemoStore(), policy="alt")
-        assert v_default == v_alt, (space, ins, d)
+        assert v_default == v_alt == expected, (space, ins, d)
 
 
 @settings(max_examples=25, deadline=None)
@@ -270,6 +272,173 @@ def test_memo_store_save_is_atomic(tmp_path, monkeypatch):
         st.save(path)
     assert path.read_text() == before
     assert [p.name for p in tmp_path.iterdir()] == ["cache.txt"]
+
+
+GOLDEN_ENTRIES = [
+    ((2, 2, (1, 1), ((1, 1), (1, 1), (1, 1))), Fraction(1)),
+    ((2, 2, (1, 1), ((1, 1), (1, 1), (1, 1), (1, 0))), Fraction(1)),
+    ((2, 2, (0, 1), ((1, 1), (1, 0), (0, 0))), Fraction(0)),
+    ((1, 3, (3,), ((2,),) * 8), Fraction(12)),
+    ((1, 3, (10,), ((2,), (1,))), Fraction(-3, 2)),
+    ((2, 4, (1, 0), ((3, 2), (3, 1), (1, 0))), Fraction(7)),
+]
+GOLDEN_TEXT = (
+    "abelian-gw-cache v1\n"
+    "1,3|10|2;1\t-3/2\n"
+    "1,3|3|2;2;2;2;2;2;2;2\t12/1\n"
+    "2,2|0,1|1.1;1.0;0.0\t0/1\n"
+    "2,2|1,1|1.1;1.1;1.1\t1/1\n"
+    "2,2|1,1|1.1;1.1;1.1;1.0\t1/1\n"
+    "2,4|1,0|3.2;3.1;1.0\t7/1\n"
+)
+
+
+def _golden_store():
+    st = MemoStore()
+    for key, value in GOLDEN_ENTRIES:
+        st.put(key, value)
+    return st
+
+
+def test_memo_store_save_golden(tmp_path):
+    # the bytes of abelian-gw-cache v1: one line per entry, sorted by key
+    # text (a key that is a prefix of another sorts first)
+    path = tmp_path / "cache.txt"
+    _golden_store().save(path)
+    assert path.read_bytes() == GOLDEN_TEXT.encode()
+    assert MemoStore().load(path).data == dict(GOLDEN_ENTRIES)
+
+
+def _stamp(path):
+    st = os.stat(path)
+    return st.st_ino, st.st_mtime_ns
+
+
+def test_memo_store_unchanged_save_leaves_file(tmp_path):
+    path = tmp_path / "cache.txt"
+    path.write_text(GOLDEN_TEXT)
+    before = _stamp(path)
+    st = MemoStore().load(path)
+    st.put(*GOLDEN_ENTRIES[0])  # already there: no change
+    st.save(path)
+    assert _stamp(path) == before
+    assert path.read_text() == GOLDEN_TEXT
+    assert [p.name for p in tmp_path.iterdir()] == ["cache.txt"]
+
+
+def test_memo_store_save_elsewhere_writes(tmp_path):
+    # a clean store skips only the file it loaded or last saved
+    path = tmp_path / "cache.txt"
+    path.write_text(GOLDEN_TEXT)
+    st = MemoStore().load(path)
+    missing = tmp_path / "missing.txt"
+    st.save(missing)
+    assert missing.read_text() == GOLDEN_TEXT
+    other = tmp_path / "other.txt"
+    other.write_text(f"{MemoStore.VERSION}\n1,3|1|2;2\t1/1\n")
+    st.save(other)
+    assert MemoStore().load(other).data == {**dict(GOLDEN_ENTRIES), (1, 3, (1,), ((2,), (2,))): 1}
+    path.unlink()
+    st.save(path)
+    assert path.exists()
+
+
+def test_memo_store_failed_save_retries(tmp_path, monkeypatch):
+    # a save whose rename fails leaves the store changed, so the next save
+    # writes
+    path = tmp_path / "cache.txt"
+    path.write_text(GOLDEN_TEXT)
+    st = MemoStore().load(path)
+    gw_invariant(P2, [(2,)] * 5, (2,), st)
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError):
+            st.save(path)
+    assert path.read_text() == GOLDEN_TEXT
+    st.save(path)
+    assert MemoStore().load(path).data == st.data
+
+
+def test_memo_store_two_writers_keep_both(tmp_path):
+    # two stores load one file, each adds its own keys, both save: the file
+    # ends with both sets
+    path = tmp_path / "cache.txt"
+    path.write_text(GOLDEN_TEXT)
+    first, second = MemoStore().load(path), MemoStore().load(path)
+    gw_invariant(PP, [(1, 1), (1, 1), (1, 0), (0, 1)], (1, 1), first)
+    gw_invariant(P2, [(2,)] * 5, (2,), second)
+    assert set(first.data) - set(second.data) and set(second.data) - set(first.data)
+    first.save(path)
+    second.save(path)
+    assert MemoStore().load(path).data == {**first.data, **second.data}
+
+
+def test_memo_store_merge_conflict(tmp_path):
+    # a save that reads in another writer's entries stops on a contradiction
+    path = tmp_path / "cache.txt"
+    path.write_text(GOLDEN_TEXT)
+    st = MemoStore().load(path)
+    key = (1, 3, (1,), ((2,), (2,)))
+    st.put(key, Fraction(1))
+    path.write_text(f"{GOLDEN_TEXT}1,3|1|2;2\t5/1\n")
+    with pytest.raises(CacheFormatError, match="conflicting entry"):
+        st.save(path)
+    assert MemoStore().load(path).data[key] == 5
+
+
+def test_memo_store_put_during_save_keeps_change(tmp_path, monkeypatch):
+    # a key put while a save writes is not in that file: the store stays
+    # changed, and the next save writes it
+    path = tmp_path / "cache.txt"
+    st = _golden_store()
+    key = (1, 3, (1,), ((2,), (2,)))
+    replace = os.replace
+
+    def replace_after_put(src, dst):
+        st.put(key, Fraction(1))
+        replace(src, dst)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "replace", replace_after_put)
+        st.save(path)
+    assert path.read_text() == GOLDEN_TEXT
+    st.save(path)
+    assert MemoStore().load(path).data[key] == 1
+
+
+def test_memo_store_concurrent_puts_and_saves(tmp_path):
+    # puts racing saves: no added key is left out of the final file
+    import sys
+    import threading
+
+    path = tmp_path / "cache.txt"
+    st = MemoStore()
+    st.save(path)
+
+    def work(t):
+        for j in range(300):
+            st.put((1, 3, (t,), ((j,),)), Fraction(j))
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for t in threads:
+            t.start()
+        while any(t.is_alive() for t in threads):
+            st.save(path)
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(old_interval)
+    st.save(path)
+    assert len(st) == 1200
+    assert MemoStore().load(path).data == st.data
 
 
 def test_memo_store_idempotent_and_consistent():

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from abelianizer import cli
 from abelianizer.abelian_gw import MemoStore
 from abelianizer.cli import RunConfig, main, run_suites
 
@@ -128,6 +129,47 @@ def test_cache_roundtrip(tmp_path, capsys):
     warm = json.loads(capsys.readouterr().out)
     for field in ("suite", "instances", "passed", "violations"):
         assert cold[0][field] == warm[0][field]
+
+
+def _cached_query(cache, parts):
+    return run_cli(["invariant", "--k", "2", "--n", "4", "--parts", parts, "--d", "1",
+                    "--cache", str(cache)])
+
+
+def test_cache_query_adding_nothing_leaves_file(tmp_path, capsys, monkeypatch):
+    # a repeated query finds every entry cached: no rewrite, no temp file
+    monkeypatch.delenv("ABELIANIZER_CACHE", raising=False)
+    cache = tmp_path / "warm.cache"
+    assert _cached_query(cache, "[1];[2,1];[2,2];[1]") == 0
+
+    def snapshot():
+        st = os.stat(cache)
+        return cache.read_bytes(), st.st_ino, st.st_mtime_ns
+
+    before = snapshot()
+    assert _cached_query(cache, "[1];[2,1];[2,2];[1]") == 0
+    assert snapshot() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["warm.cache"]
+
+
+def test_cache_query_adding_entries_rewrites(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("ABELIANIZER_CACHE", raising=False)
+    cache = tmp_path / "warm.cache"
+    assert _cached_query(cache, "[1];[2,1];[2,2];[1]") == 0
+    entries_before = len(MemoStore().load(cache))
+    stores = []
+    open_store = cli._open_store
+
+    def recording_open_store(args):
+        stores.append(open_store(args))
+        return stores[-1]
+
+    monkeypatch.setattr(cli, "_open_store", recording_open_store)
+    assert _cached_query(cache, "[1];[1];[2];[2,2];[2]") == 0
+    (store,) = stores
+    assert len(store) > entries_before
+    assert MemoStore().load(cache).data == store.data
+    assert [p.name for p in tmp_path.iterdir()] == ["warm.cache"]
 
 
 def test_env_var_overrides_cache(tmp_path, capsys, monkeypatch):
