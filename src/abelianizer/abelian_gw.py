@@ -5,17 +5,20 @@ of (P^{n-1})^k; invariants with four or more insertions are reconstructed
 through the divisor relation and the associativity (WDVV) constraints of the
 big quantum product, with exact memoization.
 
-WDVV bookkeeping.  For basis elements u, v, x, y, a background tuple B and
-a curve class d, put
+WDVV bookkeeping.  For basis elements u, v, x, y, a background multiset B
+and a curve class d, put
 
-    E(u, v | x, y) = sum over splittings S + T = B, e + f = d and basis
-                     elements mu of  <u, v, S, mu>_e  <mu^dual, x, y, T>_f
+    E(u, v | x, y) = sum over sub-multisets S of B (T = B - S), e + f = d
+                     and basis elements mu of
+                     w(S)  <u, v, S, mu>_e  <mu^dual, x, y, T>_f
 
-(mu^dual the Poincare dual).  Associativity says E(u,v|x,y) is symmetric
-under swapping v and x.  Degree-0 invariants with >= 4 marks vanish, so on
-each side the only degree-0 contributions are the classical triple products
-at e=0, S=empty (resp. f=0, T=empty), which contract to a cup product on
-the other factor.  Extracting those ends from both sides of
+(mu^dual the Poincare dual; w(S) = prod_j comb(m_j, s_j), for a class
+taken s_j times out of its m_j copies in B, counts the ways to pick S out
+of B by position).  Associativity says E(u,v|x,y) is symmetric under
+swapping v and x.  Degree-0 invariants with >= 4 marks vanish, so on each
+side the only degree-0 contributions are the classical triple products at
+e=0, S=empty (resp. f=0, T=empty), which contract to a cup product on the
+other factor.  Extracting those ends from both sides of
 E(H_i, g' | x1, x2) = E(H_i, x1 | g', x2) and removing the loose divisor
 H_i by the divisor axiom yields, for a target insertion g = H_i g':
 
@@ -33,13 +36,20 @@ space that supplies dim, c1_degree, dual and basis_of_codim: this module's
 ProductSpace and the Grassmannian's BoxSpec alike.  P is E over the proper
 splittings; the checks on both sides enumerate their identities with
 wdvv_identities and compare the three contractions with wdvv_failures.
+A contraction reads its left factors as half-contractions
+{mu: <u, v, mu, S>_e} from a dict that its caller owns: wdvv_failures keeps
+one for the whole check, so the three sides of every identity share them,
+and each WDVV step keeps its own.  Neither outlives its caller, so no half
+built from one store's values is read against another.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import threading
+from collections import Counter
 from fractions import Fraction
 
 from .cohomology import PClass, ProductSpace, c_squared, cup, integrate_rational
@@ -404,8 +414,9 @@ def _wdvv_step(space, ins, d, store, policy, dist) -> Fraction:
     # P(u, v | x, y): the contraction over proper splittings only
     proper = [(e, f) for e, f in space.splittings(d) if any(e) and any(f)]
     h_i = _unit_vec(space.k, i)
-    total += wdvv_contraction(space, h_i, x1, gprime, x2, back, proper, value)
-    total -= wdvv_contraction(space, h_i, gprime, x1, x2, back, proper, value)
+    subs, halves = sub_multisets(back), {}
+    total += wdvv_contraction(space, h_i, x1, gprime, x2, subs, proper, value, halves)
+    total -= wdvv_contraction(space, h_i, gprime, x1, x2, subs, proper, value, halves)
     return total
 
 
@@ -413,29 +424,65 @@ def _unit_vec(k: int, i: int) -> Mono:
     return tuple(1 if j == i else 0 for j in range(k))
 
 
-def wdvv_contraction(space, u, v, x, y, back, splits, value) -> Fraction:
+def sub_multisets(back) -> list:
+    """[(S, T, w)] over the sub-multisets S of the background back, with
+    T = back - S and w = prod_j comb(m_j, s_j) the number of position
+    subsets of back that give S (class j occurs m_j times in back, s_j
+    times in S).  S and T list equal classes together, in the order they
+    first occur in back."""
+    classes = list(Counter(back).items())
+    subs = []
+    for chosen in itertools.product(*(range(m + 1) for _, m in classes)):
+        S, T, weight = [], [], 1
+        for (b, m), s in zip(classes, chosen):
+            S += [b] * s
+            T += [b] * (m - s)
+            weight *= math.comb(m, s)
+        subs.append((tuple(S), tuple(T), weight))
+    return subs
+
+
+def wdvv_contraction(space, u, v, x, y, subs, splits, value, halves) -> Fraction:
     """E(u, v | x, y) restricted to the degree splits (e, f) in splits.
 
-    Sums value((u, v, mu) + S, e) * value((mu^dual, x, y) + T, f) over the
-    splittings S + T = back (by position, so a repeated class is split both
-    ways), over (e, f) in splits and over the basis elements mu of the one
-    codimension the dimension constraint of the left factor allows.  The
-    codimension of a basis element is the sum of its entries (exponents of
-    a monomial, parts of a partition); space supplies dim, c1_degree, dual
-    and basis_of_codim.
+    Sums w * value((u, v, mu) + S, e) * value((mu^dual, x, y) + T, f) over
+    the (S, T, w) of subs (sub_multisets of the background), over (e, f) in
+    splits and over the basis elements mu of the one codimension the
+    dimension constraint of the left factor allows.  The codimension of a
+    basis element is the sum of its entries (exponents of a monomial, parts
+    of a partition); space supplies dim, c1_degree, dual and basis_of_codim.
+
+    The left factors come from halves, a dict from (u, v, S, e) to the
+    nonzero {mu: value((u, v, mu) + S, e)}, filled here on first use and
+    kept by the caller; the right factor is evaluated only where the left
+    one is nonzero.
     """
     total = Fraction(0)
-    base = sum(u) + sum(v)
-    for mask in range(1 << len(back)):
-        S = tuple(b for j, b in enumerate(back) if mask >> j & 1)
-        T = tuple(b for j, b in enumerate(back) if not mask >> j & 1)
-        left_excess = base + sum(map(sum, S)) - len(S)
+    for S, T, weight in subs:
+        part = 0
         for e, f in splits:
-            for mu in space.basis_of_codim(space.dim + space.c1_degree(e) - left_excess):
-                left = value((u, v, mu) + S, e)
-                if left:
-                    total += left * value((space.dual(mu), x, y) + T, f)
+            half = halves.get((u, v, S, e))
+            if half is None:
+                half = _half_contraction(space, u, v, S, e, value)
+                halves[(u, v, S, e)] = halves[(v, u, S, e)] = half
+            for mu, left in half.items():
+                right = value((space.dual(mu), x, y) + T, f)
+                if right:
+                    part += left * right
+        if part:
+            total += weight * part
     return total
+
+
+def _half_contraction(space, u, v, S, e, value) -> dict:
+    # the left factor's dimension constraint fixes the codimension of mu
+    excess = sum(u) + sum(v) + sum(map(sum, S)) - len(S)
+    half = {}
+    for mu in space.basis_of_codim(space.dim + space.c1_degree(e) - excess):
+        left = value((u, v, mu) + S, e)
+        if left:
+            half[mu] = left
+    return half
 
 
 def wdvv_identities(space, d_max: int, n_marks_max: int):
@@ -463,13 +510,21 @@ def wdvv_identities(space, d_max: int, n_marks_max: int):
 def wdvv_failures(space, d_max: int, n_marks_max: int, value):
     """Yield (quad, back, d, (E(a,b|c,e), E(a,c|b,e), E(a,e|b,c))) for every
     identity of wdvv_identities whose three contractions disagree."""
+    # local to this check: the half-contractions (see wdvv_contraction) that
+    # every identity shares, and the sub-multisets of each background and
+    # the splits of each degree, built once
+    halves, subs_of, splits_of = {}, {}, {}
     for quad, back, d in wdvv_identities(space, d_max, n_marks_max):
         a, b, c, e = quad
-        splits = space.splittings(d)
+        if back not in subs_of:
+            subs_of[back] = sub_multisets(back)
+        if d not in splits_of:
+            splits_of[d] = space.splittings(d)
+        subs, splits = subs_of[back], splits_of[d]
         sides = (
-            wdvv_contraction(space, a, b, c, e, back, splits, value),
-            wdvv_contraction(space, a, c, b, e, back, splits, value),
-            wdvv_contraction(space, a, e, b, c, back, splits, value),
+            wdvv_contraction(space, a, b, c, e, subs, splits, value, halves),
+            wdvv_contraction(space, a, c, b, e, subs, splits, value, halves),
+            wdvv_contraction(space, a, e, b, c, subs, splits, value, halves),
         )
         if sides[0] != sides[1] or sides[1] != sides[2]:
             yield quad, back, d, sides

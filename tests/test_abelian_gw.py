@@ -15,10 +15,16 @@ from abelianizer.abelian_gw import (
     check_wdvv,
     gw_invariant,
     gw_of_classes,
+    _gw,
     small_quantum_product,
+    sub_multisets,
     three_point,
     two_point,
+    wdvv_contraction,
+    wdvv_identities,
 )
+from abelianizer.correspondence import AssembledInvariants
+from abelianizer.partitions import BoxSpec
 
 P3 = ProductSpace(1, 4)
 PP = ProductSpace(2, 2)
@@ -98,12 +104,23 @@ def test_gw_effectivity(store):
     assert gw_invariant(PP, [(1, 1)] * 3, (-1, 2), store) == 0
 
 
+KONTSEVICH_N = {
+    2: 1,
+    3: 12,
+    4: 620,
+    5: 87304,
+    6: 26312976,
+    7: 14616808192,
+    8: 13525751027392,
+    9: 19385778269260800,
+    10: 40739017561997799680,
+}
+
+
 def test_gw_kontsevich_numbers(store):
-    # rational plane curves of degree d through 3d-1 points: 1, 12, 620
-    pt = (2,)
-    assert gw_invariant(P2, [pt] * 5, (2,), store) == 1
-    assert gw_invariant(P2, [pt] * 8, (3,), store) == 12
-    assert gw_invariant(P2, [pt] * 11, (4,), store) == 620
+    # rational plane curves of degree d through 3d-1 points (Kontsevich-Manin)
+    for d, expected in KONTSEVICH_N.items():
+        assert gw_invariant(P2, [(2,)] * (3 * d - 1), (d,), store) == expected, d
 
 
 def test_gw_quadric_counts(store):
@@ -165,17 +182,19 @@ def test_pivot_policy_independence_random(data):
     m = data.draw(st.integers(4, 6))
     monos = [e for e in space.monomials() if sum(e) >= 1]
     needed = space.dim + space.c1_degree(d) + m - 3
-    ins = []
-    for _ in range(m - 1):
-        ins.append(data.draw(st.sampled_from(monos)))
-    gap = needed - sum(sum(e) for e in ins)
-    last = [e for e in monos if sum(e) == gap]
-    if not last:
+    admissible = [ins for ins in itertools.combinations_with_replacement(monos, m)
+                  if sum(map(sum, ins)) == needed]
+    if not admissible:
         return
-    ins.append(data.draw(st.sampled_from(last)))
-    v1 = gw_invariant(space, ins, d, MemoStore(), policy="default")
+    ins = data.draw(st.permutations(data.draw(st.sampled_from(admissible))))
+    store = MemoStore()
+    v1 = gw_invariant(space, ins, d, store, policy="default")
     v2 = gw_invariant(space, ins, d, MemoStore(), policy="alt")
     assert v1 == v2
+    # both policies can drop the same reconstruction term; associativity of
+    # the values that gave v1 catches that: identities with m + 1 marks have
+    # factors of up to m marks
+    assert check_wdvv(space, sum(d), m + 1, store) == []
 
 
 def test_ring_consistency_roundtrip(store):
@@ -461,8 +480,6 @@ def test_wdvv_p3(store):
 def test_divisor_consistency_across_cache(store):
     # every cached invariant with a divisor insertion at nonzero degree
     # recomputes through the divisor axiom to the stored value
-    from abelianizer.abelian_gw import _gw
-
     checked = 0
     for (k, n, d, ins), value in list(store.data.items()):
         if not any(d) or len(ins) < 4:
@@ -495,6 +512,80 @@ def test_concurrent_computation_consistent():
     for t in threads:
         t.join()
     assert results == [12, 12, 12, 12]
+
+
+def _mask_contraction(space, u, v, x, y, back, splits, value):
+    # reference: E(u, v | x, y) summed over every subset of the positions of
+    # back, so a repeated class is split both ways
+    total = Fraction(0)
+    base = sum(u) + sum(v)
+    for mask in range(1 << len(back)):
+        S = tuple(b for j, b in enumerate(back) if mask >> j & 1)
+        T = tuple(b for j, b in enumerate(back) if not mask >> j & 1)
+        left_excess = base + sum(map(sum, S)) - len(S)
+        for e, f in splits:
+            for mu in space.basis_of_codim(space.dim + space.c1_degree(e) - left_excess):
+                left = value((u, v, mu) + S, e)
+                if left:
+                    total += left * value((space.dual(mu), x, y) + T, f)
+    return total
+
+
+def test_sub_multisets_weights():
+    subs = sub_multisets(("a", "a", "b", "a"))
+    assert len(subs) == 8
+    assert sum(w for _, _, w in subs) == 2 ** 4
+    assert (("a", "a"), ("a", "b"), 3) in subs
+    assert (("a", "a", "a", "b"), (), 1) in subs
+    assert sub_multisets(()) == [((), (), 1)]
+
+
+def _product_value(space):
+    store = MemoStore()
+    return lambda marks, d: _gw(space, tuple(sorted(marks, reverse=True)), d, store, "default", None)
+
+
+@pytest.mark.parametrize("space, d_max, n_marks_max, make_value", [
+    (P2, 3, 7, _product_value),
+    (PP, 2, 6, _product_value),
+    (BoxSpec(2, 4), 2, 6, lambda box: AssembledInvariants(box, MemoStore()).value),
+], ids=["P2", "P1xP1", "Gr(2,4)"])
+def test_contraction_matches_position_masks(space, d_max, n_marks_max, make_value):
+    # on backgrounds with a repeated class, the sub-multiset contraction with
+    # shared half-contractions equals the sum over position masks
+    value, halves = make_value(space), {}
+    checked = nonzero = 0
+    for (a, b, c, e), back, d in wdvv_identities(space, d_max, n_marks_max):
+        if len(set(back)) == len(back):
+            continue
+        subs, splits = sub_multisets(back), space.splittings(d)
+        for u, v, x, y in ((a, b, c, e), (a, c, b, e), (a, e, b, c)):
+            got = wdvv_contraction(space, u, v, x, y, subs, splits, value, halves)
+            assert got == _mask_contraction(space, u, v, x, y, back, splits, value), (u, v, x, y, back, d)
+            checked += 1
+            nonzero += got != 0
+    assert checked > 30 and nonzero > 10, (checked, nonzero)
+
+
+def test_wdvv_check_work_set():
+    # the check evaluates the invariants that the position-mask contraction
+    # evaluated, the right factor only where the left one is nonzero: the
+    # store ends with the entry and miss counts that contraction left
+    st = MemoStore()
+    assert check_wdvv(ProductSpace(2, 4), 1, 5, st) == []
+    stats = st.stats()
+    assert (stats["entries"], stats["misses"]) == (1283, 1309)
+
+
+def test_wdvv_check_keeps_no_halves():
+    # a half-contraction kept past its check would carry a corrupted store's
+    # values into the check of a clean one.  (P^1)^3 is checked by no other
+    # test, so no earlier check can have left clean halves behind.
+    space = ProductSpace(3, 2)
+    bad = MemoStore()
+    bad.put((3, 2, (1, 1, 1), ((1, 1, 1),) * 3), Fraction(2))  # truly 1
+    assert check_wdvv(space, 3, 5, bad) != []
+    assert check_wdvv(space, 3, 5, MemoStore()) == []
 
 
 def test_wdvv_corrupted_store_detected():
