@@ -491,6 +491,9 @@ def wdvv_identities(space, d_max: int, n_marks_max: int):
     quad is a multiset of four basis elements, back a background multiset
     of at most n_marks_max - 4 more, d a curve class of degree at most
     d_max; only identities that pass the dimension constraint are yielded.
+    Each factor <u, v, mu, S>_e of an identity has 3 + |S| <= n_marks_max - 1
+    marks, so the identities relate invariants of at most n_marks_max - 1
+    marks and never test an n_marks_max-point invariant.
     """
     basis = [b for c in range(space.dim + 1) for b in space.basis_of_codim(c)]
     backgrounds = [
@@ -575,7 +578,12 @@ def gw_of_classes(space: ProductSpace, classes, d: tuple, store: MemoStore) -> F
 
 def check_wdvv(space: ProductSpace, d_total_max: int, n_marks_max: int, store: MemoStore) -> list[dict]:
     """Verify associativity constraints for all quadruples of basis monomials
-    with backgrounds and degrees within bounds.  Returns the violations."""
+    with backgrounds and degrees within bounds.  Returns the violations.
+
+    An identity with n_marks_max marks has factors of at most
+    n_marks_max - 1 marks (see wdvv_identities), so this checks invariants
+    of at most n_marks_max - 1 marks.
+    """
 
     def value(marks, d):
         return _gw(space, tuple(sorted(marks, reverse=True)), d, store, "default", None)

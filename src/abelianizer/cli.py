@@ -432,28 +432,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, formats=None):
         p.add_argument("--k", type=int, required=True)
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--cache", default=None, help="cache file (env ABELIANIZER_CACHE overrides)")
-        p.add_argument("--format", choices=("json", "csv", "markdown"), default="json")
-        p.add_argument("--out", default=None, help="write output to a file")
+        if formats:
+            p.add_argument("--format", choices=formats, default="json")
+            p.add_argument("--out", default=None, help="write output to a file")
 
-    p_inv = sub.add_parser("invariant", help="one corrected Grassmannian invariant")
+    p_inv = sub.add_parser("invariant", help="one corrected Grassmannian invariant, printed as JSON")
     common(p_inv)
     p_inv.add_argument("--parts", required=True, help='insertions, e.g. "[1];[2,1];[2,2]"')
     p_inv.add_argument("--d", type=int, required=True)
 
     p_ver = sub.add_parser("verify", help="run verification suites")
-    common(p_ver)
+    common(p_ver, ("json", "markdown"))
     p_ver.add_argument("--suite", action="append", default=None,
                        help=f"suite name or 'all'; known: {', '.join(SUITES)}")
     p_ver.add_argument("--max-degree", type=int, default=2)
-    p_ver.add_argument("--max-insertions", type=int, default=5)
+    p_ver.add_argument("--max-insertions", type=int, default=5,
+                       help="marks per WDVV identity; each factor of an identity has at most "
+                            "one fewer, so associativity tests invariants of fewer marks")
     p_ver.add_argument("--seed", type=int, default=0)
 
     p_tab = sub.add_parser("table", help="emit a table of invariants within bounds")
-    common(p_tab)
+    common(p_tab, ("json", "csv", "markdown"))
     p_tab.add_argument("--max-degree", type=int, default=2)
     p_tab.add_argument("--max-insertions", type=int, default=3)
     p_tab.add_argument("--side", choices=("grass", "abelian"), default="grass")

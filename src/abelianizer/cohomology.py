@@ -21,10 +21,8 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb, factorial
 
+from . import sparse
 from .partitions import BoxSpec, Partition, _perm_sign, box_partitions, complement, schur_polynomial
-
-Poly = dict  # {exponent vector: Fraction}
-
 
 @dataclass(frozen=True)
 class ProductSpace:
@@ -91,39 +89,6 @@ def c_squared(k: int) -> Fraction:
     return Fraction((-1) ** comb(k, 2), factorial(k))
 
 
-def poly_add(p: Poly, q: Poly) -> Poly:
-    out = dict(p)
-    for e, c in q.items():
-        v = out.get(e, 0) + c
-        if v:
-            out[e] = v
-        elif e in out:
-            del out[e]
-    return out
-
-
-def poly_scale(p: Poly, c) -> Poly:
-    if not c:
-        return {}
-    return {e: v * c for e, v in p.items()}
-
-
-def poly_mul(p: Poly, q: Poly, n: int) -> Poly:
-    """Product in Q[H]/(H_i^n): any exponent reaching n kills the term."""
-    out = {}
-    for ea, ca in p.items():
-        for eb, cb in q.items():
-            e = tuple(a + b for a, b in zip(ea, eb))
-            if any(x >= n for x in e):
-                continue
-            v = out.get(e, 0) + ca * cb
-            if v:
-                out[e] = v
-            elif e in out:
-                del out[e]
-    return out
-
-
 class PClass:
     """A cohomology class on (P^{n-1})^k with a c-grading.
 
@@ -133,7 +98,7 @@ class PClass:
 
     __slots__ = ("space", "terms", "cgrade")
 
-    def __init__(self, space: ProductSpace, terms: Poly = None, cgrade: int = 0):
+    def __init__(self, space: ProductSpace, terms: dict = None, cgrade: int = 0):
         self.space = space
         t = {}
         for e, c in (terms or {}).items():
@@ -205,18 +170,18 @@ def monomial(space: ProductSpace, e: tuple[int, ...]) -> PClass:
 def add(a: PClass, b: PClass) -> PClass:
     if a.space != b.space or a.cgrade != b.cgrade:
         raise ValueError("can only add classes of matching space and cgrade")
-    return PClass(a.space, poly_add(a.terms, b.terms), a.cgrade)
+    return PClass(a.space, sparse.add(a.terms, b.terms), a.cgrade)
 
 
 def scale(a: PClass, c) -> PClass:
-    return PClass(a.space, poly_scale(a.terms, Fraction(c)), a.cgrade)
+    return PClass(a.space, sparse.scale(a.terms, Fraction(c)), a.cgrade)
 
 
 def cup(a: PClass, b: PClass) -> PClass:
     """Cup product; cgrades add and normalize through c^2."""
     if a.space != b.space:
         raise ValueError("cup product needs matching spaces")
-    return PClass(a.space, poly_mul(a.terms, b.terms, a.space.n), a.cgrade + b.cgrade)
+    return PClass(a.space, sparse.mul(a.terms, b.terms, a.space.n), a.cgrade + b.cgrade)
 
 
 def integrate(a: PClass) -> tuple[Fraction, int]:
@@ -238,10 +203,7 @@ def weyl_action(perm: tuple[int, ...], a: PClass) -> PClass:
     character of anti-invariant classes comes entirely from the
     Vandermonde part (a transposition sends omega to -omega)."""
     k = a.space.k
-    terms = {}
-    for e, c in a.terms.items():
-        pe = tuple(e[perm[i]] for i in range(k))
-        terms[pe] = terms.get(pe, Fraction(0)) + c
+    terms = {tuple(e[perm[i]] for i in range(k)): c for e, c in a.terms.items()}
     return PClass(a.space, terms, a.cgrade)
 
 
@@ -315,14 +277,12 @@ def schubert_cup(lam: Partition, mu: Partition, box: BoxSpec) -> dict[Partition,
 def antisymmetrize(a: PClass) -> PClass:
     """Sum of sign(w) * w(.) over the Weyl group, applied to the rational
     part of a (no 1/k! normalization); the cgrade is carried along."""
-    out = PClass(a.space, {}, a.cgrade)
+    out = {}
     for perm in itertools.permutations(range(a.space.k)):
         sgn = _perm_sign(perm)
-        permuted = {
-            tuple(e[perm[i]] for i in range(a.space.k)): c for e, c in a.terms.items()
-        }
-        out = add(out, PClass(a.space, poly_scale(permuted, sgn), a.cgrade))
-    return out
+        for e, c in a.terms.items():
+            sparse.add_term(out, tuple(e[i] for i in perm), sgn * c)
+    return PClass(a.space, out, a.cgrade)
 
 
 def divide_by_omega(phi: PClass, box: BoxSpec) -> dict[Partition, Fraction]:

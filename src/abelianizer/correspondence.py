@@ -39,6 +39,7 @@ from .cohomology import (
     space_of,
 )
 from .abelian_gw import MemoStore, gw_of_classes, small_quantum_product, wdvv_failures
+from .sparse import add, mul, scale
 
 
 # ---------------------------------------------------------------------------
@@ -210,15 +211,6 @@ def _realize_symbolic(sym, parts, assign, box) -> Insertion:
     raise ValueError(f"unknown symbolic insertion {sym!r}")
 
 
-def _compositions(d: int, m: int):
-    if m == 1:
-        yield (d,)
-        return
-    for first in range(d + 1):
-        for rest in _compositions(d - first, m - 1):
-            yield (first,) + rest
-
-
 def evaluate_formula(tree: FormulaTree, partitions, d: int, box: BoxSpec,
                      store: MemoStore, eps_off: bool = False) -> Fraction:
     """Evaluate the corrected l-point Grassmannian invariant at degree d.
@@ -232,8 +224,9 @@ def evaluate_formula(tree: FormulaTree, partitions, d: int, box: BoxSpec,
     basis = box_partitions(box)
     total = Fraction(0)
     for sign, brackets, nc in tree.groups:
+        comps = lifts(d, len(brackets))
         for assign in itertools.product(basis, repeat=nc):
-            for comp in _compositions(d, len(brackets)):
+            for comp in comps:
                 prod = Fraction(sign)
                 for br, e in zip(brackets, comp):
                     ins = [_realize_symbolic(s, parts, assign, box) for s in br]
@@ -392,53 +385,28 @@ def check_omega_triviality(box: BoxSpec, d_max: int) -> list[dict]:
 # ---------------------------------------------------------------------------
 # mirror map
 
-def _ps_trunc(p: dict, order: int) -> dict:
-    return {e: c for e, c in p.items() if e <= order and c}
-
-
-def _ps_mul(p: dict, q: dict, order: int) -> dict:
-    out = {}
-    for a, ca in p.items():
-        for b, cb in q.items():
-            if a + b > order:
-                continue
-            v = out.get(a + b, Fraction(0)) + ca * cb
-            if v:
-                out[a + b] = v
-            elif a + b in out:
-                del out[a + b]
-    return out
-
-
 def _ps_exp(p: dict, order: int) -> dict:
-    """exp of a series with no constant term."""
+    """exp of a power series with no constant term, up to q^order."""
     if 0 in p:
         raise ValueError("exp needs vanishing constant term")
     out = {0: Fraction(1)}
     term = {0: Fraction(1)}
     for m in range(1, order + 1):
-        term = _ps_mul(term, p, order)
-        term = {e: c / m for e, c in term.items()}
-        out = {**out, **{e: out.get(e, Fraction(0)) + c for e, c in term.items()}}
+        term = scale(mul(term, p, cap=order + 1), Fraction(1, m))
         if not term:
             break
-    return {e: c for e, c in out.items() if c}
+        out = add(out, term)
+    return out
 
 
 def _ps_compose(p: dict, inner: dict, order: int) -> dict:
-    """p(inner) for inner with no constant term."""
-    out = {0: p.get(0, Fraction(0))} if p.get(0) else {}
+    """p(inner) up to q^order, for inner with no constant term."""
+    out = {0: p[0]} if p.get(0) else {}
     power = {0: Fraction(1)}
     for e in range(1, max(p, default=0) + 1):
-        power = _ps_mul(power, inner, order)
-        c = p.get(e)
-        if c:
-            for a, b in power.items():
-                v = out.get(a, Fraction(0)) + c * b
-                if v:
-                    out[a] = v
-                elif a in out:
-                    del out[a]
+        power = mul(power, inner, cap=order + 1)
+        if p.get(e):
+            out = add(out, power, p[e])
     return out
 
 
@@ -492,7 +460,7 @@ def invert_mirror_series(box: BoxSpec, forward: dict, order: int) -> dict:
     u = {1: Fraction(1)}  # u as a series in v
     for _ in range(order):
         fu = _ps_compose(f1, u, order)
-        u = _ps_mul({1: Fraction(1)}, _ps_exp({e: -c for e, c in fu.items()}, order), order)
+        u = mul({1: Fraction(1)}, _ps_exp(scale(fu, -1), order), cap=order + 1)
     inverse = {}
     for lam, series in forward.items():
         gi = _ps_compose(series, u, order)
@@ -507,13 +475,11 @@ def mirror_roundtrip_defect(box: BoxSpec, fwd: MirrorMapSeries) -> dict:
     g1 = dict(fwd.inverse.get(sigma1, {}))
     # u(v) reconstructed from the inverse: u = v exp(G_1(v))
     order = fwd.order
-    u = _ps_mul({1: Fraction(1)}, _ps_exp(g1, order), order)
+    u = mul({1: Fraction(1)}, _ps_exp(g1, order), cap=order + 1)
     defects = {}
     for lam, series in fwd.forward.items():
         fu = _ps_compose(series, u, order)
-        g = fwd.inverse.get(lam, {})
-        tot = {e: fu.get(e, Fraction(0)) + g.get(e, Fraction(0)) for e in set(fu) | set(g)}
-        defects[lam] = {e: c for e, c in tot.items() if c}
+        defects[lam] = add(fu, fwd.inverse.get(lam, {}))
     return defects
 
 
@@ -571,7 +537,11 @@ def assemble_and_check_wdvv(box: BoxSpec, d_max: int, l_max: int, store: MemoSto
                             corrupt_epsilon: bool = False) -> list[dict]:
     """Associativity constraints for the assembled Grassmannian invariants,
     for all quadruples of Schubert classes, backgrounds and degrees with at
-    most l_max marks and degree at most d_max.  Returns violations."""
+    most l_max marks and degree at most d_max.  Returns violations.
+
+    The factors of an identity have at most l_max - 1 marks (see
+    wdvv_identities), so no l_max-point invariant is tested here.
+    """
     inv = AssembledInvariants(box, store, corrupt_epsilon)
     return [
         {"quad": quad, "background": back, "d": d, "values": sides}

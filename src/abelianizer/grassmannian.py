@@ -23,6 +23,7 @@ from .partitions import (
     rim_hook_reduce,
     schur_polynomial,
 )
+from .sparse import add, add_term, mul, series_add
 
 SIGMA_1 = Partition((1,))
 
@@ -42,17 +43,7 @@ def schur_expand_product(lam: Partition, mu: Partition, k: int) -> dict[Partitio
     key = (lam.parts, mu.parts, k)
     if key in _lr_cache:
         return _lr_cache[key]
-    poly = {}
-    slam = schur_polynomial(lam, k)
-    smu = schur_polynomial(mu, k)
-    for ea, ca in slam.items():
-        for eb, cb in smu.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            v = poly.get(e, 0) + ca * cb
-            if v:
-                poly[e] = v
-            elif e in poly:
-                del poly[e]
+    poly = mul(schur_polynomial(lam, k), schur_polynomial(mu, k))
     out: dict[Partition, int] = {}
     while poly:
         lead = max(poly)
@@ -60,11 +51,7 @@ def schur_expand_product(lam: Partition, mu: Partition, k: int) -> dict[Partitio
         nu = Partition(lead)
         out[nu] = coeff
         for e, c in schur_polynomial(nu, k).items():
-            v = poly.get(e, 0) - coeff * c
-            if v:
-                poly[e] = v
-            elif e in poly:
-                del poly[e]
+            add_term(poly, e, -coeff * c)
     _lr_cache[key] = out
     return out
 
@@ -101,12 +88,7 @@ def quantum_cup(lam: Partition, mu: Partition, box: BoxSpec) -> QSchubertVector:
         sign, q_power, reduced = rim_hook_reduce(nu, box)
         if reduced is None:
             continue
-        kq = (q_power, reduced)
-        v = terms.get(kq, Fraction(0)) + sign * c
-        if v:
-            terms[kq] = v
-        elif kq in terms:
-            del terms[kq]
+        add_term(terms, (q_power, reduced), sign * c)
     return QSchubertVector(box, terms)
 
 
@@ -144,7 +126,7 @@ def calibrate_rim_hook_sign(d_max: int = 2) -> dict[str, bool]:
                     sign, q_power, reduced = rim_hook_reduce(nu, box, rule=rule)
                     if reduced is None:
                         continue
-                    terms[(q_power, reduced)] = terms.get((q_power, reduced), 0) + sign * c
+                    add_term(terms, (q_power, reduced), sign * c)
                 if any(v < 0 for (q, _), v in terms.items() if q <= d_max):
                     ok = False
                     break
@@ -155,70 +137,29 @@ def calibrate_rim_hook_sign(d_max: int = 2) -> dict[str, bool]:
 
 
 # ---------------------------------------------------------------------------
-# Laurent-polynomial matrices and the quantum differential equation
-
-Laurent = dict  # {z power: Fraction}
+# the quantum differential equation, on sparse matrices {(row, col): c}
 
 
-def laurent_add(a: Laurent, b: Laurent) -> Laurent:
-    out = dict(a)
-    for p, c in b.items():
-        v = out.get(p, Fraction(0)) + c
-        if v:
-            out[p] = v
-        elif p in out:
-            del out[p]
+def _matmul(A: dict, B: dict) -> dict:
+    """Product of two sparse matrices."""
+    rows: dict = {}
+    for (l, j), b in B.items():
+        rows.setdefault(l, []).append((j, b))
+    out = {}
+    for (i, l), a in A.items():
+        for j, b in rows.get(l, ()):
+            add_term(out, (i, j), a * b)
     return out
 
 
-def laurent_scale(a: Laurent, c, shift: int = 0) -> Laurent:
-    c = Fraction(c)
-    if not c:
-        return {}
-    return {p + shift: v * c for p, v in a.items()}
+def _times(X: dict, M: dict) -> dict:
+    """X M for a z-series X of matrices and a rational matrix M."""
+    return series_add({}, {p: _matmul(A, M) for p, A in X.items()})
 
 
-def _mat_zero(dim: int):
-    return [[{} for _ in range(dim)] for _ in range(dim)]
-
-
-def _mat_add(A, B):
-    return [[laurent_add(A[i][j], B[i][j]) for j in range(len(A))] for i in range(len(A))]
-
-
-def _mat_scale(A, c, shift=0):
-    return [[laurent_scale(A[i][j], c, shift) for j in range(len(A))] for i in range(len(A))]
-
-
-def _mat_mul_rational_left(M, A):
-    """(M A)_ij with M a rational matrix, A a Laurent matrix."""
-    dim = len(A)
-    out = _mat_zero(dim)
-    for i in range(dim):
-        for l in range(dim):
-            if not M[i][l]:
-                continue
-            for j in range(dim):
-                if A[l][j]:
-                    out[i][j] = laurent_add(out[i][j], laurent_scale(A[l][j], M[i][l]))
-    return out
-
-
-def _mat_mul_rational_right(A, M):
-    dim = len(A)
-    out = _mat_zero(dim)
-    for l in range(dim):
-        for j in range(dim):
-            if not M[l][j]:
-                continue
-            for i in range(dim):
-                if A[i][l]:
-                    out[i][j] = laurent_add(out[i][j], laurent_scale(A[i][l], M[l][j]))
-    return out
-
-
-def _mat_is_zero(A):
-    return all(not A[i][j] for i in range(len(A)) for j in range(len(A)))
+def _ad(D: dict, X: dict) -> dict:
+    """ad_D X = D X - X D on a z-series X of matrices."""
+    return series_add({}, {p: add(_matmul(D, A), _matmul(A, D), -1) for p, A in X.items()})
 
 
 @dataclass
@@ -234,62 +175,54 @@ class FundamentalSolution:
 
         (z d + ad_D) R_d = sum_{e=1..d} R_{d-e} A_e,
 
-    inverted through the nilpotency of ad_D.
+    inverted through the nilpotency of ad_D.  D and the A_d are sparse
+    matrices {(row, col): c}; each R_d is a z-series of them.
     """
 
     basis: list
-    D: list
+    D: dict
     A: dict
     R: dict = field(default_factory=dict)
 
-    def matrix(self, d: int):
+    def matrix(self, d: int) -> dict:
         if d == 0:
-            dim = len(self.basis)
-            ident = _mat_zero(dim)
-            for i in range(dim):
-                ident[i][i] = {0: Fraction(1)}
-            return ident
+            return {0: {(i, i): Fraction(1) for i in range(len(self.basis))}}
         if d not in self.R:
-            rhs = _mat_zero(len(self.basis))
+            rhs = {}
             for e, A_e in self.A.items():
                 if 1 <= e <= d:
-                    rhs = _mat_add(rhs, _mat_mul_rational_right(self.matrix(d - e), A_e))
-            self.R[d] = _invert_zd_plus_adD(rhs, self.D, d)
+                    rhs = series_add(rhs, _times(self.matrix(d - e), A_e))
+            self.R[d] = _invert_zd_plus_adD(rhs, self.D, d, len(self.basis))
         return self.R[d]
 
     def column(self, d: int, j: int) -> dict[int, dict]:
         """Coordinates of the q^d part of column j, as {z power: {row: coeff}}."""
-        out: dict[int, dict] = {}
-        R = self.matrix(d)
-        for i in range(len(self.basis)):
-            for p, c in R[i][j].items():
-                out.setdefault(p, {})[i] = c
+        out = {}
+        for p, R in self.matrix(d).items():
+            rows = {i: c for (i, col), c in R.items() if col == j}
+            if rows:
+                out[p] = rows
         return out
 
     def residual(self, d_max: int):
         """Plug the computed R_d back into the recursion; must vanish."""
         bad = []
         for d in range(1, d_max + 1):
-            lhs = _mat_scale(self.matrix(d), d, shift=1)
-            lhs = _mat_add(lhs, _mat_mul_rational_left(self.D, self.matrix(d)))
-            lhs = _mat_add(lhs, _mat_scale(_mat_mul_rational_right(self.matrix(d), self.D), -1))
+            lhs = series_add(_ad(self.D, self.matrix(d)), self.matrix(d), d, shift=1)
             for e, A_e in self.A.items():
                 if 1 <= e <= d:
-                    lhs = _mat_add(lhs, _mat_scale(_mat_mul_rational_right(self.matrix(d - e), A_e), -1))
-            if not _mat_is_zero(lhs):
+                    lhs = series_add(lhs, _times(self.matrix(d - e), A_e), -1)
+            if lhs:
                 bad.append(d)
         return bad
 
 
-def _invert_zd_plus_adD(Y, D, d: int):
+def _invert_zd_plus_adD(Y: dict, D: dict, d: int, dim: int) -> dict:
     """Solve (z d + ad_D) X = Y; ad_D is nilpotent so the Neumann series is finite."""
-    dim = len(Y)
-    X = _mat_zero(dim)
-    term = Y
-    j = 0
-    while not _mat_is_zero(term):
-        X = _mat_add(X, _mat_scale(term, Fraction((-1) ** j, d ** (j + 1)), shift=-(j + 1)))
-        term = _mat_add(_mat_mul_rational_left(D, term), _mat_scale(_mat_mul_rational_right(term, D), -1))
+    X, term, j = {}, Y, 0
+    while term:
+        X = series_add(X, term, Fraction((-1) ** j, d ** (j + 1)), shift=-(j + 1))
+        term = _ad(D, term)
         j += 1
         if j > 4 * dim + 4:
             raise RuntimeError("ad_D failed to nilpotate; inconsistent grading")
@@ -299,22 +232,17 @@ def _invert_zd_plus_adD(Y, D, d: int):
 def divisor_matrices(box: BoxSpec):
     """Basis and the graded pieces of quantum multiplication by sigma_1.
 
-    Returns (basis, D, {d: A_d}) with matrix[row][col] rational: column
-    lam holds sigma_1 * sigma_lam expanded over the basis.
+    Returns (basis, D, {d: A_d}) with sparse matrices {(row, col): c}:
+    column lam holds sigma_1 * sigma_lam expanded over the basis.
     """
     basis = box_partitions(box)
     index = {lam: i for i, lam in enumerate(basis)}
-    dim = len(basis)
-    D = [[Fraction(0)] * dim for _ in range(dim)]
-    A: dict[int, list] = {}
+    D: dict = {}
+    A: dict[int, dict] = {}
     for j, lam in enumerate(basis):
-        prod = quantum_cup(SIGMA_1, lam, box)
-        for (q, rho), c in prod.terms.items():
-            i = index[rho]
-            if q == 0:
-                D[i][j] = c
-            else:
-                A.setdefault(q, [[Fraction(0)] * dim for _ in range(dim)])[i][j] = c
+        for (q, rho), c in quantum_cup(SIGMA_1, lam, box).terms.items():
+            mat = D if q == 0 else A.setdefault(q, {})
+            mat[index[rho], j] = c
     return basis, D, A
 
 
@@ -334,7 +262,7 @@ class ZSeries:
 
     coefficients maps (q_power, z_power) to {basis label: Fraction}.  For
     J-type series the (0, 1) coefficient is the unit class (J = z + ...).
-    Fano grading keeps every z-expansion a finite Laurent polynomial, so
+    Fano grading leaves finitely many powers of z in every coefficient, so
     there is no z cutoff.
     """
 
@@ -357,18 +285,16 @@ def j_function(box: BoxSpec, q_trunc: int) -> ZSeries:
     """Small J-function of Gr(k, n) on the divisor locus, at t = 0.
 
     J = z * sum_d Q^d (R_d applied to the unit class); the q^0 term is
-    z * sigma_empty.  Coefficients are exact finite Laurent polynomials.
+    z * sigma_empty.  Each coefficient is exact, with finitely many powers of z.
     """
     if q_trunc < 1:
         raise ValueError("truncation order must be >= 1")
     fund = fundamental_solution(box)
     basis = fund.basis
     unit_col = basis.index(Partition())
-    coeffs: dict[tuple, dict] = {}
-    for d in range(q_trunc + 1):
-        col = fund.column(d, unit_col)
-        for zp, rows in col.items():
-            entry = coeffs.setdefault((d, zp + 1), {})
-            for i, c in rows.items():
-                entry[basis[i]] = entry.get(basis[i], Fraction(0)) + c
-    return ZSeries({kq: v for kq, v in coeffs.items() if any(v.values())}, q_trunc)
+    coeffs = {
+        (d, zp + 1): {basis[i]: c for i, c in rows.items()}
+        for d in range(q_trunc + 1)
+        for zp, rows in fund.column(d, unit_col).items()
+    }
+    return ZSeries(coeffs, q_trunc)

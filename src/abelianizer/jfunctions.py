@@ -1,11 +1,11 @@
 """Small J-functions of products of projective spaces, the twisted
 I-function, and the linear solve matching it against the Grassmannian side.
 
-All series here are carried per Novikov degree with coefficients that are
-finite Laurent polynomials in z valued in cohomology ("LPoly": {z power:
-{exponent vector: Fraction}}).  Fano grading on the divisor locus keeps
-every z-expansion finite, so there is no z truncation anywhere: requested
-depths are guarantees, not cutoffs.
+All series here are carried per Novikov degree as z-series (see sparse):
+polynomials in z and 1/z whose coefficients are classes on the product,
+{z power: {exponent vector: Fraction}}.  Fano grading on the divisor locus
+keeps every z-expansion finite, so there is no z truncation anywhere:
+requested depths are guarantees, not cutoffs.
 """
 
 from __future__ import annotations
@@ -23,42 +23,18 @@ from .cohomology import (
     delta,
     divide_by_omega,
     lift,
-    poly_add,
-    poly_mul,
-    poly_scale,
     space_of,
 )
 from .grassmannian import FundamentalSolution
-
-LPoly = dict  # {z power: {exponent vector: Fraction}}
-
-
-def lpoly_add(a: LPoly, b: LPoly) -> LPoly:
-    out = {p: dict(v) for p, v in a.items()}
-    for p, v in b.items():
-        out[p] = poly_add(out.get(p, {}), v)
-        if not out[p]:
-            del out[p]
-    return out
+from .sparse import add, series_add, series_mul
 
 
-def lpoly_scale(a: LPoly, c, zshift: int = 0) -> LPoly:
-    c = Fraction(c)
-    if not c:
-        return {}
-    return {p + zshift: poly_scale(v, c) for p, v in a.items()}
-
-
-def lpoly_mul(a: LPoly, b: LPoly, n: int) -> LPoly:
-    out: LPoly = {}
-    for p, u in a.items():
-        for q, v in b.items():
-            w = poly_mul(u, v, n)
-            if w:
-                out[p + q] = poly_add(out.get(p + q, {}), w)
-                if not out[p + q]:
-                    del out[p + q]
-    return out
+def _on_factor(series: dict, i: int, k: int) -> dict:
+    """A z-series in the H of factor i, as a z-series on (P^{n-1})^k."""
+    return {
+        p: {(0,) * i + (e,) + (0,) * (k - 1 - i): c for e, c in rows.items()}
+        for p, rows in series.items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -70,11 +46,8 @@ _factor_cache: dict[int, FundamentalSolution] = {}
 def _projective_solution(n: int) -> FundamentalSolution:
     """Fundamental solution for a single P^{n-1} in the basis 1, H, ..., H^{n-1}."""
     if n not in _factor_cache:
-        D = [[Fraction(0)] * n for _ in range(n)]
-        for j in range(n - 1):
-            D[j + 1][j] = Fraction(1)
-        A1 = [[Fraction(0)] * n for _ in range(n)]
-        A1[0][n - 1] = Fraction(1)  # H * H^{n-1} = Q
+        D = {(j + 1, j): Fraction(1) for j in range(n - 1)}
+        A1 = {(0, n - 1): Fraction(1)}  # H * H^{n-1} = Q
         _factor_cache[n] = FundamentalSolution(list(range(n)), D, {1: A1})
     return _factor_cache[n]
 
@@ -91,58 +64,37 @@ def projective_j_closed_form(n: int, d: int) -> dict[int, dict[int, Fraction]]:
     with H^n = 0; matches projective_j_coefficient."""
     out = {0: {0: Fraction(1)}}
     for m in range(1, d + 1):
-        factor: dict[int, dict[int, Fraction]] = {}
+        factor = {}
         scale0 = Fraction(1, m ** n)
         for j in range(n):
             coeff = binomial_fraction(-n, j) * scale0 / Fraction(m ** j)
             if coeff:
                 factor.setdefault(-n - j, {})[j] = coeff
-        new: dict[int, dict[int, Fraction]] = {}
-        for p, u in out.items():
-            for q, v in factor.items():
-                for e1, c1 in u.items():
-                    for e2, c2 in v.items():
-                        if e1 + e2 >= n:
-                            continue
-                        bucket = new.setdefault(p + q, {})
-                        val = bucket.get(e1 + e2, Fraction(0)) + c1 * c2
-                        if val:
-                            bucket[e1 + e2] = val
-                        elif e1 + e2 in bucket:
-                            del bucket[e1 + e2]
-        out = {p: v for p, v in new.items() if v}
+        out = series_mul(out, factor, cap=n)
     return out
 
 
-def j_function_P(space: ProductSpace, d_total_max: int) -> dict[tuple, LPoly]:
+def j_function_P(space: ProductSpace, d_total_max: int) -> dict[tuple, dict]:
     """Multidegree coefficients of the small J-function of (P^{n-1})^k at
     the origin of the divisor locus.
 
     J = z * sum over multidegrees of Q^dt * prod_i J_{d_i}(H_i); the
-    returned LPoly includes the overall factor z, so the zero multidegree
+    returned z-series includes the overall factor z, so the zero multidegree
     maps to z * unit.
     """
+    k = space.k
     out = {}
-    for dt in itertools.product(range(d_total_max + 1), repeat=space.k):
+    for dt in itertools.product(range(d_total_max + 1), repeat=k):
         if sum(dt) > d_total_max:
             continue
-        acc: LPoly = {0: {(): Fraction(1)}}
-        for i in range(space.k):
-            fac = projective_j_coefficient(space.n, dt[i])
-            new: LPoly = {}
-            for p, u in acc.items():
-                for q, v in fac.items():
-                    for etup, c1 in u.items():
-                        for e, c2 in v.items():
-                            key = etup + (e,)
-                            bucket = new.setdefault(p + q, {})
-                            bucket[key] = bucket.get(key, Fraction(0)) + c1 * c2
-            acc = new
-        out[dt] = lpoly_scale(acc, 1, zshift=1)
+        acc = {1: {(0,) * k: Fraction(1)}}
+        for i in range(k):
+            acc = series_mul(acc, _on_factor(projective_j_coefficient(space.n, dt[i]), i, k))
+        out[dt] = acc
     return out
 
 
-def apply_abelian_solution(box: BoxSpec, poly: dict, d: int) -> LPoly:
+def apply_abelian_solution(box: BoxSpec, poly: dict, d: int) -> dict:
     """sum over lifts dt of d of (tensor_i R_{d_i}) applied to a class.
 
     The per-factor matrices act coordinate-wise on each tensor leg; this is
@@ -150,27 +102,15 @@ def apply_abelian_solution(box: BoxSpec, poly: dict, d: int) -> LPoly:
     before Novikov specialization (no sign, no overall z).
     """
     space = space_of(box)
+    k = space.k
     sol = _projective_solution(space.n)
-    total: LPoly = {}
-    for dt in lifts(d, space.k):
+    total = {}
+    for dt in lifts(d, k):
         for e, c in poly.items():
-            acc: LPoly = {0: {(): c}}
-            for i in range(space.k):
-                col = sol.column(dt[i], e[i])
-                new: LPoly = {}
-                for p, u in acc.items():
-                    for q, rows in col.items():
-                        for etup, c1 in u.items():
-                            for row, c2 in rows.items():
-                                key = etup + (row,)
-                                bucket = new.setdefault(p + q, {})
-                                val = bucket.get(key, Fraction(0)) + c1 * c2
-                                if val:
-                                    bucket[key] = val
-                                elif key in bucket:
-                                    del bucket[key]
-                acc = new
-            total = lpoly_add(total, acc)
+            acc = {0: {(0,) * k: c}}
+            for i in range(k):
+                acc = series_mul(acc, _on_factor(sol.column(dt[i], e[i]), i, k))
+            total = series_add(total, acc)
     return total
 
 
@@ -184,14 +124,14 @@ class ISeries:
         I_d = (-1)^((k-1)d) sum over lifts dt of
               prod_{i<j} ((H_i - H_j) + z (d_i - d_j)) * J^dt,
 
-    a finite Laurent polynomial in z with Weyl-anti-invariant coefficients.
+    a polynomial in z and 1/z with Weyl-anti-invariant coefficients.
     """
 
     box: BoxSpec
     d_max: int
-    coeffs: dict  # {d: LPoly}
+    coeffs: dict  # {d: z-series}
 
-    def coefficient(self, d: int) -> LPoly:
+    def coefficient(self, d: int) -> dict:
         return self.coeffs.get(d, {})
 
     def records(self):
@@ -209,21 +149,20 @@ def i_function(box: BoxSpec, d_max: int) -> ISeries:
     jp = j_function_P(space, d_max)
     coeffs = {}
     for d in range(d_max + 1):
-        acc: LPoly = {}
+        acc = {}
         for dt in lifts(d, space.k):
             term = jp[dt]
             for i in range(space.k):
                 for j in range(i + 1, space.k):
                     ei = tuple(1 if t == i else 0 for t in range(space.k))
                     ej = tuple(1 if t == j else 0 for t in range(space.k))
-                    root: LPoly = {0: {ei: Fraction(1), ej: Fraction(-1)}}
+                    root = {0: {ei: Fraction(1), ej: Fraction(-1)}}
                     const = dt[i] - dt[j]
                     if const:
-                        root = lpoly_add(root, {1: {(0,) * space.k: Fraction(const)}})
-                    term = lpoly_mul(term, root, space.n)
-            acc = lpoly_add(acc, term)
-        sign = (-1) ** epsilon(d, box.k)
-        coeffs[d] = lpoly_scale(acc, sign)
+                        root[1] = {(0,) * space.k: Fraction(const)}
+                    term = series_mul(term, root, cap=space.n)
+            acc = series_add(acc, term)
+        coeffs[d] = series_add({}, acc, (-1) ** epsilon(d, box.k))
     return ISeries(box, d_max, coeffs)
 
 
@@ -277,18 +216,17 @@ def solve_c_coefficients(iseries: ISeries, fund: FundamentalSolution, box: BoxSp
     basis = box_partitions(box)
     r = c_squared(box.k)
 
-    # Gr side building blocks: G[e][lam] = lift(R_e column_lam) * Delta as LPoly
+    # Gr side building blocks: G[e][lam] = lift(R_e column_lam) * Delta as a z-series
     dl = delta(space)
-    gr_cols: dict[int, dict[Partition, LPoly]] = {}
+    gr_cols: dict[int, dict[Partition, dict]] = {}
     for e in range(d_max + 1):
         cols = {}
         for j, lam in enumerate(basis):
-            col = fund.column(e, j)
-            lp: LPoly = {}
-            for zp, rows in col.items():
+            lp = {}
+            for zp, rows in fund.column(e, j).items():
                 vec = {}
                 for i, c in rows.items():
-                    vec = poly_add(vec, poly_scale(cup(lift(basis[i], box), dl).terms, c))
+                    vec = add(vec, cup(lift(basis[i], box), dl).terms, c)
                 if vec:
                     lp[zp] = vec
             cols[lam] = lp
@@ -300,15 +238,11 @@ def solve_c_coefficients(iseries: ISeries, fund: FundamentalSolution, box: BoxSp
         known = iseries.coefficient(d)
         for e_prime in range(d):
             for lam in basis:
-                ci = {zp: c for (dd, zp), c in c_series[lam].items() if dd == e_prime}
-                if not ci:
-                    continue
                 g = gr_cols[d - e_prime][lam]
-                contrib: LPoly = {}
-                for zp1, c1 in ci.items():
-                    # z * G, scaled by r * C^i
-                    contrib = lpoly_add(contrib, lpoly_scale(g, r * c1, zshift=zp1 + 1))
-                known = lpoly_add(known, lpoly_scale(contrib, -1))
+                for (dd, zp1), c1 in c_series[lam].items():
+                    if dd == e_prime:
+                        # minus z * G, scaled by r * C^i
+                        known = series_add(known, g, -r * c1, shift=zp1 + 1)
         # expand the remainder over the bialternants, per z power
         expanded: dict[Partition, dict[int, Fraction]] = {}
         for zp, poly in known.items():

@@ -19,6 +19,8 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb
 
+from .sparse import add, mul
+
 # Per-hook sign rule for quantum reduction.  "k_minus_height" is the
 # production rule; it is the unique choice out of the two classical
 # candidates for which all 3-point Grassmannian structure constants come
@@ -175,29 +177,7 @@ def complete_homogeneous(m: int, k: int) -> dict[tuple[int, ...], int]:
     """h_m in k variables: every degree-m monomial, coefficient 1."""
     if m < 0:
         return {}
-    return {e: 1 for e in _exponents_of_degree(m, k)}
-
-
-def _exponents_of_degree(m: int, k: int):
-    if k == 1:
-        yield (m,)
-        return
-    for first in range(m + 1):
-        for rest in _exponents_of_degree(m - first, k - 1):
-            yield (first,) + rest
-
-
-def _poly_mul(p, q, k):
-    out = {}
-    for ea, ca in p.items():
-        for eb, cb in q.items():
-            e = tuple(ea[i] + eb[i] for i in range(k))
-            c = out.get(e, 0) + ca * cb
-            if c:
-                out[e] = c
-            elif e in out:
-                del out[e]
-    return out
+    return {e: 1 for e in lifts(m, k)}
 
 
 def schur_polynomial(lam: Partition, k: int) -> dict[tuple[int, ...], int]:
@@ -216,17 +196,8 @@ def schur_polynomial(lam: Partition, k: int) -> dict[tuple[int, ...], int]:
         sign = _perm_sign(perm)
         prod = {(0,) * k: 1}
         for i in range(ell):
-            h = complete_homogeneous(lam[i] - i + perm[i], k)
-            if not h:
-                prod = {}
-                break
-            prod = _poly_mul(prod, h, k)
-        for e, c in prod.items():
-            v = out.get(e, 0) + sign * c
-            if v:
-                out[e] = v
-            elif e in out:
-                del out[e]
+            prod = mul(prod, complete_homogeneous(lam[i] - i + perm[i], k))
+        out = add(out, prod, sign)
     return out
 
 

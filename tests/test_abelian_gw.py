@@ -577,6 +577,14 @@ def test_wdvv_check_work_set():
     assert (stats["entries"], stats["misses"]) == (1283, 1309)
 
 
+def test_wdvv_check_mark_bound():
+    # an identity with 5 marks has factors of at most 4, so a check at
+    # <= 5 marks evaluates no 5-point invariant
+    st = MemoStore()
+    assert check_wdvv(ProductSpace(2, 4), 1, 5, st) == []
+    assert max(len(key[3]) for key in st.data) == 4
+
+
 def test_wdvv_check_keeps_no_halves():
     # a half-contraction kept past its check would carry a corrupted store's
     # values into the check of a clean one.  (P^1)^3 is checked by no other

@@ -56,6 +56,32 @@ def test_verify_two_point(capsys):
     assert reports[0]["violations"] == []
 
 
+@pytest.mark.parametrize("flags", [["--format", "csv"], ["--format", "json"], ["--out", "x.json"]])
+def test_invariant_rejects_unread_flags(flags, tmp_path, monkeypatch):
+    # invariant prints one JSON record to stdout; it reads neither flag
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["invariant", "--k", "2", "--n", "4", "--parts", "[1];[2,1];[2,2]",
+                 "--d", "1"] + flags)
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_verify_rejects_csv():
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["verify", "--k", "2", "--n", "4", "--suite", "martin", "--format", "csv"])
+    assert exc.value.code == 2
+
+
+def test_verify_markdown_out(tmp_path):
+    out = tmp_path / "report.md"
+    assert run_cli(["verify", "--k", "2", "--n", "4", "--suite", "martin",
+                    "--format", "markdown", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "| suite | instances | passed | wall time (s) |"
+    assert lines[2].startswith("| martin | 8 | True |")
+
+
 def test_verify_rejects_unknown_suite():
     with pytest.raises(SystemExit) as exc:
         run_cli(["verify", "--k", "2", "--n", "4", "--suite", "nonsense"])

@@ -9,8 +9,6 @@ from abelianizer.cohomology import (
     delta,
     divide_by_omega,
     lift,
-    poly_add,
-    poly_scale,
     space_of,
 )
 from abelianizer.grassmannian import fundamental_solution
@@ -18,14 +16,12 @@ from abelianizer.jfunctions import (
     apply_abelian_solution,
     i_function,
     j_function_P,
-    lpoly_add,
-    lpoly_mul,
-    lpoly_scale,
     projective_j_closed_form,
     projective_j_coefficient,
     solve_c_coefficients,
     _projective_solution,
 )
+from abelianizer.sparse import add, scale, series_add, series_mul
 
 
 def P(*parts):
@@ -108,8 +104,8 @@ def test_i_series_degree_one_structure():
     jp = j_function_P(space, 1)
     root_plus = {0: {(1, 0): Fraction(1), (0, 1): Fraction(-1)}, 1: {(0, 0): Fraction(1)}}
     root_minus = {0: {(1, 0): Fraction(1), (0, 1): Fraction(-1)}, 1: {(0, 0): Fraction(-1)}}
-    want = lpoly_scale(
-        lpoly_add(lpoly_mul(root_plus, jp[(1, 0)], 4), lpoly_mul(root_minus, jp[(0, 1)], 4)),
+    want = series_add(
+        {}, series_add(series_mul(root_plus, jp[(1, 0)], 4), series_mul(root_minus, jp[(0, 1)], 4)),
         -1,
     )
     assert i_function(B24, 1).coefficient(1) == want
@@ -138,20 +134,20 @@ def test_omega_derivative_correspondence(store):
             for zp, rows in col.items():
                 vec = {}
                 for i, c in rows.items():
-                    vec = poly_add(vec, poly_scale(cup(lift(basis[i], box), dl).terms, c))
+                    vec = add(vec, scale(cup(lift(basis[i], box), dl).terms, c))
                 if vec:
                     lhs[zp] = vec
-            rhs = lpoly_scale(apply_abelian_solution(box, dl.terms, d),
-                              (-1) ** epsilon(d, box.k))
+            rhs = series_add({}, apply_abelian_solution(box, dl.terms, d),
+                             (-1) ** epsilon(d, box.k))
             assert lhs == rhs, (box, d)
 
 
 def test_anti_invariant_expand_roundtrip():
     space = space_of(B24)
     dl = delta(space)
-    poly = poly_add(
+    poly = add(
         cup(lift(P(2, 1), B24), dl).terms,
-        poly_scale(cup(lift(P(1), B24), dl).terms, Fraction(-3, 2)),
+        scale(cup(lift(P(1), B24), dl).terms, Fraction(-3, 2)),
     )
     assert divide_by_omega(PClass(space, poly, 1), B24) == {P(2, 1): 1, P(1): Fraction(-3, 2)}
     with pytest.raises(ValueError):
