@@ -37,20 +37,6 @@ from .jfunctions import i_function, solve_c_coefficients
 
 REPORT_SCHEMA = "report v1"
 
-SUITES = (
-    "martin",
-    "two-point",
-    "three-point",
-    "four-point-divisor",
-    "five-point-symmetry",
-    "wdvv-abelian",
-    "wdvv-grass",
-    "omega-trivial",
-    "mirror-small",
-    "j-i",
-)
-
-
 @dataclass
 class RunConfig:
     k: int
@@ -58,8 +44,6 @@ class RunConfig:
     max_degree: int = 2
     max_insertions: int = 5
     suites: tuple = ("all",)
-    cache: str = None
-    fmt: str = "json"
     seed: int = 0
 
     def __post_init__(self):
@@ -266,6 +250,7 @@ SUITE_RUNNERS = {
     "mirror-small": _suite_mirror_small,
     "j-i": _suite_j_i,
 }
+SUITES = tuple(SUITE_RUNNERS)
 
 # suites that need k < n (a Grassmannian target, not just a product space)
 BOX_SUITES = frozenset(SUITES) - {"wdvv-abelian"}
@@ -340,8 +325,7 @@ def cmd_verify(args, parser) -> int:
     try:
         cfg = RunConfig(
             k=args.k, n=args.n, max_degree=args.max_degree,
-            max_insertions=args.max_insertions, suites=tuple(args.suite),
-            cache=_resolve_cache(args), fmt=args.format, seed=args.seed,
+            max_insertions=args.max_insertions, suites=tuple(args.suite), seed=args.seed,
         )
     except ValueError as exc:
         parser.error(str(exc))
@@ -351,7 +335,7 @@ def cmd_verify(args, parser) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     payload = [r.to_dict() for r in reports]
-    if cfg.fmt == "json":
+    if args.format == "json":
         out = json.dumps(payload, indent=1, sort_keys=True)
     else:
         lines = ["| suite | instances | passed | wall time (s) |", "|---|---|---|---|"]
@@ -363,8 +347,8 @@ def cmd_verify(args, parser) -> int:
             fh.write(out + "\n")
     else:
         print(out)
-    if cfg.cache:
-        store.save(cfg.cache)
+    if _resolve_cache(args):
+        store.save(_resolve_cache(args))
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -394,10 +378,8 @@ def _abelian_rows(cfg: RunConfig, store: MemoStore):
 
 def cmd_table(args, parser) -> int:
     try:
-        cfg = RunConfig(
-            k=args.k, n=args.n, max_degree=args.max_degree,
-            max_insertions=args.max_insertions, cache=_resolve_cache(args), fmt=args.format,
-        )
+        cfg = RunConfig(k=args.k, n=args.n, max_degree=args.max_degree,
+                        max_insertions=args.max_insertions)
         if args.side == "grass":
             cfg.box()
     except ValueError as exc:
@@ -405,10 +387,10 @@ def cmd_table(args, parser) -> int:
     store = _open_store(args)
     rows = list(_grass_rows(cfg, store) if args.side == "grass" else _abelian_rows(cfg, store))
     rows.sort(key=lambda r: (str(r[0]), r[1]))
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         lines = ["degree,insertions,value"]
         lines += [f"{d},{ins},{_jsonable(v)}" for d, ins, v in rows]
-    elif cfg.fmt == "markdown":
+    elif args.format == "markdown":
         lines = ["| degree | insertions | value |", "|---|---|---|"]
         lines += [f"| {d} | {ins} | {_jsonable(v)} |" for d, ins, v in rows]
     else:
@@ -420,8 +402,8 @@ def cmd_table(args, parser) -> int:
             fh.write(out + "\n")
     else:
         print(out)
-    if cfg.cache:
-        store.save(cfg.cache)
+    if _resolve_cache(args):
+        store.save(_resolve_cache(args))
     return 0
 
 

@@ -242,18 +242,10 @@ def lift(lam: Partition, box: BoxSpec) -> PClass:
     return PClass(space_of(box), {e: Fraction(c) for e, c in poly.items()})
 
 
-_omega_sq_cache: dict[BoxSpec, PClass] = {}
-
-
-def omega_squared(box: BoxSpec) -> PClass:
-    if box not in _omega_sq_cache:
-        _omega_sq_cache[box] = cup(omega(box), omega(box))
-    return _omega_sq_cache[box]
-
-
 def martin_integral(a: PClass, box: BoxSpec) -> Fraction:
     """int_P omega^2 * a, which computes int_Gr of the class a lifts."""
-    return integrate_rational(cup(omega_squared(box), a))
+    om = omega(box)
+    return integrate_rational(cup(cup(om, om), a))
 
 
 def schubert_cup(lam: Partition, mu: Partition, box: BoxSpec) -> dict[Partition, Fraction]:

@@ -26,6 +26,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import grassmannian
 from .partitions import BoxSpec, Partition, box_partitions, complement, epsilon, grlex_key, lifts
 from .cohomology import (
     PClass,
@@ -34,6 +35,7 @@ from .cohomology import (
     delta,
     lift,
     martin_integral,
+    omega,
     root_classes,
     scale as cls_scale,
     space_of,
@@ -75,14 +77,12 @@ OMEGA = Insertion("omega")
 
 
 def _realize(ins: Insertion, box: BoxSpec) -> PClass:
-    space = space_of(box)
     if ins.kind == "lift":
         return lift(ins.lam, box)
     if ins.kind == "omega":
-        return PClass(space, delta(space).terms, 1)
+        return omega(box)
     if ins.kind == "lift_omega":
-        base = cup(lift(ins.lam, box), delta(space))
-        return PClass(space, base.terms, 1)
+        return cup(lift(ins.lam, box), omega(box))
     raise ValueError(f"unknown insertion kind {ins.kind!r}")
 
 
@@ -290,8 +290,6 @@ def formula_to_json(tree: FormulaTree) -> str:
 def check_two_point(box: BoxSpec, d_max: int, store: MemoStore) -> list[dict]:
     """Compare Grassmannian 2-point invariants with the lifted bracket of the
     two omega-twisted insertions, all box pairs, 1 <= d <= d_max."""
-    from . import grassmannian
-
     violations = []
     parts = box_partitions(box)
     for lam, mu in itertools.combinations_with_replacement(parts, 2):
@@ -311,8 +309,6 @@ def naive_vs_corrected(box: BoxSpec, d_max: int, store: MemoStore) -> dict:
     Returns the admissible instances with their naive value, corrected value
     and (when a divisor insertion permits) the divisor-axiom oracle value.
     """
-    from . import grassmannian
-
     tree = generate_formula(4)
     parts = box_partitions(box)
     sigma1 = Partition((1,))

@@ -30,9 +30,6 @@ SIGMA_1 = Partition((1,))
 # ---------------------------------------------------------------------------
 # classical expansion and quantum product
 
-_lr_cache: dict[tuple, dict[Partition, int]] = {}
-
-
 def schur_expand_product(lam: Partition, mu: Partition, k: int) -> dict[Partition, int]:
     """Expand S_lam * S_mu in k variables back into Schur polynomials.
 
@@ -40,9 +37,6 @@ def schur_expand_product(lam: Partition, mu: Partition, k: int) -> dict[Partitio
     polynomial is a partition exponent; S_nu has leading coefficient 1, so
     the loop strictly decreases the leading term and terminates.
     """
-    key = (lam.parts, mu.parts, k)
-    if key in _lr_cache:
-        return _lr_cache[key]
     poly = mul(schur_polynomial(lam, k), schur_polynomial(mu, k))
     out: dict[Partition, int] = {}
     while poly:
@@ -52,7 +46,6 @@ def schur_expand_product(lam: Partition, mu: Partition, k: int) -> dict[Partitio
         out[nu] = coeff
         for e, c in schur_polynomial(nu, k).items():
             add_term(poly, e, -coeff * c)
-    _lr_cache[key] = out
     return out
 
 
@@ -246,14 +239,9 @@ def divisor_matrices(box: BoxSpec):
     return basis, D, A
 
 
-_fundamental_cache: dict[BoxSpec, FundamentalSolution] = {}
-
-
 def fundamental_solution(box: BoxSpec) -> FundamentalSolution:
-    if box not in _fundamental_cache:
-        basis, D, A = divisor_matrices(box)
-        _fundamental_cache[box] = FundamentalSolution(basis, D, A)
-    return _fundamental_cache[box]
+    """A new solution for Gr(k, n); it fills its R_d as the caller asks."""
+    return FundamentalSolution(*divisor_matrices(box))
 
 
 @dataclass

@@ -40,23 +40,17 @@ def _on_factor(series: dict, i: int, k: int) -> dict:
 # ---------------------------------------------------------------------------
 # per-factor quantum differential equation for P^{n-1}
 
-_factor_cache: dict[int, FundamentalSolution] = {}
-
-
 def _projective_solution(n: int) -> FundamentalSolution:
     """Fundamental solution for a single P^{n-1} in the basis 1, H, ..., H^{n-1}."""
-    if n not in _factor_cache:
-        D = {(j + 1, j): Fraction(1) for j in range(n - 1)}
-        A1 = {(0, n - 1): Fraction(1)}  # H * H^{n-1} = Q
-        _factor_cache[n] = FundamentalSolution(list(range(n)), D, {1: A1})
-    return _factor_cache[n]
+    D = {(j + 1, j): Fraction(1) for j in range(n - 1)}
+    A1 = {(0, n - 1): Fraction(1)}  # H * H^{n-1} = Q
+    return FundamentalSolution(list(range(n)), D, {1: A1})
 
 
 def projective_j_coefficient(n: int, d: int) -> dict[int, dict[int, Fraction]]:
     """q^d coefficient of the P^{n-1} J-function (unit normalization, no
     overall z): {z power: {H exponent: coeff}}."""
-    col = _projective_solution(n).column(d, 0)
-    return {zp: dict(rows) for zp, rows in col.items()}
+    return _projective_solution(n).column(d, 0)
 
 
 def projective_j_closed_form(n: int, d: int) -> dict[int, dict[int, Fraction]]:
@@ -83,13 +77,14 @@ def j_function_P(space: ProductSpace, d_total_max: int) -> dict[tuple, dict]:
     maps to z * unit.
     """
     k = space.k
+    sol = _projective_solution(space.n)
     out = {}
     for dt in itertools.product(range(d_total_max + 1), repeat=k):
         if sum(dt) > d_total_max:
             continue
         acc = {1: {(0,) * k: Fraction(1)}}
         for i in range(k):
-            acc = series_mul(acc, _on_factor(projective_j_coefficient(space.n, dt[i]), i, k))
+            acc = series_mul(acc, _on_factor(sol.column(dt[i], 0), i, k))
         out[dt] = acc
     return out
 

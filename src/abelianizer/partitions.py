@@ -13,11 +13,13 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb
+from types import MappingProxyType
 
 from .sparse import add, mul
 
@@ -180,17 +182,21 @@ def complete_homogeneous(m: int, k: int) -> dict[tuple[int, ...], int]:
     return {e: 1 for e in lifts(m, k)}
 
 
-def schur_polynomial(lam: Partition, k: int) -> dict[tuple[int, ...], int]:
+@functools.cache
+def schur_polynomial(lam: Partition, k: int) -> MappingProxyType:
     """The Schur polynomial S_lam(H_1, ..., H_k) as {exponent vector: coeff}.
 
     Computed from the Jacobi-Trudi determinant det(h_{lam_i - i + j}) in
-    complete homogeneous symmetric polynomials.
+    complete homogeneous symmetric polynomials.  Every lift and every
+    Littlewood-Richardson expansion reads these, so each (lam, k) is
+    computed once and shared; the mapping is read-only, so a caller that
+    tries to change a shared value gets a TypeError.
     """
     if len(lam) > k:
         raise ValueError(f"{lam} has more than {k} parts")
     ell = len(lam)
     if ell == 0:
-        return {(0,) * k: 1}
+        return MappingProxyType({(0,) * k: 1})
     out = {}
     for perm in itertools.permutations(range(ell)):
         sign = _perm_sign(perm)
@@ -198,7 +204,7 @@ def schur_polynomial(lam: Partition, k: int) -> dict[tuple[int, ...], int]:
         for i in range(ell):
             prod = mul(prod, complete_homogeneous(lam[i] - i + perm[i], k))
         out = add(out, prod, sign)
-    return out
+    return MappingProxyType(out)
 
 
 def _perm_sign(perm) -> int:

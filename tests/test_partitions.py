@@ -77,6 +77,16 @@ def test_schur_examples():
         schur_polynomial(P(1, 1, 1), 2)
 
 
+def test_schur_polynomial_is_read_only():
+    # every lift shares the memoized mapping, so writing to it must fail
+    # rather than change the lifts computed after it
+    s21 = schur_polynomial(P(2, 1), 3)
+    with pytest.raises(TypeError):
+        s21[(3, 0, 0)] = 1
+    assert schur_polynomial(P(2, 1), 3) == s21
+    assert schur_polynomial(P(2, 1), 2) == {(2, 1): 1, (1, 2): 1}
+
+
 def _partitions_of_weight_at_most(w_max, rows):
     out = []
 
