@@ -1,7 +1,11 @@
 """Genus-zero Gromov-Witten invariants of products of projective spaces.
 
-Base cases come from the small quantum ring  tensor_i Q[H_i, Q_i]/(H_i^n - Q_i)
-of (P^{n-1})^k; invariants with four or more insertions are reconstructed
+On both (P^{n-1})^k and Gr(k, n) an m-point invariant of curve class d
+vanishes unless its insertion codimensions add up to virtual_dim = dim +
+c_1(d) + m - 3.  On the product the 3-point case of this rule holds factor by
+factor (the product formula), which gives the 3-point base case; three_point,
+from the small quantum ring tensor_i Q[H_i, Q_i]/(H_i^n - Q_i), is its
+reference.  Invariants with four or more insertions are reconstructed
 through the divisor relation and the associativity (WDVV) constraints of the
 big quantum product, with exact memoization.
 
@@ -279,17 +283,10 @@ def small_quantum_product(a: PClass, b: PClass) -> dict[tuple, PClass]:
 
 def three_point(a: PClass, b: PClass, c: PClass, d: tuple) -> Fraction:
     """<a, b, c>_{0,3,d} from the small quantum ring and the classical pairing."""
-    space = a.space
     d = tuple(d)
     if any(x < 0 for x in d):
         return Fraction(0)
-    if a.is_homogeneous() and b.is_homogeneous() and c.is_homogeneous():
-        needed = space.dim + space.c1_degree(d)
-        if not (a.is_zero() or b.is_zero() or c.is_zero()):
-            if a.codim() + b.codim() + c.codim() != needed:
-                return Fraction(0)
-    product = small_quantum_product(a, b)
-    coeff = product.get(d)
+    coeff = small_quantum_product(a, b).get(d)
     if coeff is None:
         return Fraction(0)
     return integrate_rational(cup(coeff, c))
@@ -341,22 +338,17 @@ def _gw(space, ins, d, store, policy, dist) -> Fraction:
         return cached
 
     m = len(ins)
-    tot = sum(d)
-    value = None
-
-    if sum(sum(e) for e in ins) != space.dim + space.c1_degree(d) + m - 3:
+    if sum(map(sum, ins)) != virtual_dim(space, d, m):
         value = Fraction(0)
-    elif tot == 0:
-        if m == 3:
-            e = tuple(sum(x) for x in zip(*ins))
-            value = Fraction(1) if e == space.top else Fraction(0)
-        else:
-            value = Fraction(0)  # degree 0 needs psi-classes beyond 3 marks
+    elif m == 3:
+        # product formula: a 3-point invariant of (P^{n-1})^k is the product
+        # over the factors of the 3-point invariants of P^{n-1}, and
+        # <H^a, H^b, H^c>_e on P^{n-1} is 1 when a + b + c = n - 1 + n e
+        value = Fraction(all(sum(e[i] for e in ins) == n - 1 + n * d[i] for i in range(k)))
+    elif not any(d):
+        value = Fraction(0)  # degree 0 needs psi-classes beyond 3 marks
     elif m < 3:
         raise ValueError("invariants with fewer than 3 marks go through two_point")
-    elif m == 3:
-        a, b, c = (PClass(space, {e: Fraction(1)}) for e in ins)
-        value = three_point(a, b, c, d)
     elif any(sum(e) == 0 for e in ins):
         value = Fraction(0)  # fundamental-class axiom, d != 0 here
     else:
@@ -475,14 +467,40 @@ def wdvv_contraction(space, u, v, x, y, subs, splits, value, halves) -> Fraction
 
 
 def _half_contraction(space, u, v, S, e, value) -> dict:
-    # the left factor's dimension constraint fixes the codimension of mu
-    excess = sum(u) + sum(v) + sum(map(sum, S)) - len(S)
+    # the left factor's dimension rule fixes the codimension of mu
+    codim = virtual_dim(space, e, 3 + len(S)) - sum(u) - sum(v) - sum(map(sum, S))
     half = {}
-    for mu in space.basis_of_codim(space.dim + space.c1_degree(e) - excess):
+    for mu in space.basis_of_codim(codim):
         left = value((u, v, mu) + S, e)
         if left:
             half[mu] = left
     return half
+
+
+def virtual_dim(space, d, m: int) -> int:
+    """dim + c_1(d) + m - 3 on a ProductSpace or a BoxSpec: an m-point invariant
+    of curve class d vanishes unless its insertion codimensions add up to it."""
+    return space.dim + space.c1_degree(d) + m - 3
+
+
+def _basis(space) -> list:
+    # the codimension of a basis element is the sum of its entries
+    # (exponents of a monomial, parts of a partition)
+    return [b for c in range(space.dim + 1) for b in space.basis_of_codim(c)]
+
+
+def admissible_tuples(space, m: int, d_max: int):
+    """Yield (combo, d) for every multiset combo of m basis elements and
+    curve class d of degree at most d_max that pass the dimension rule
+    (virtual_dim).  The combos come in combinations_with_replacement order
+    over the basis, each followed by its curve classes in curve_classes
+    order."""
+    degrees = [(d, virtual_dim(space, d, m)) for d in space.curve_classes(d_max)]
+    for combo in itertools.combinations_with_replacement(_basis(space), m):
+        codim = sum(map(sum, combo))
+        for d, needed in degrees:
+            if codim == needed:
+                yield combo, d
 
 
 def wdvv_identities(space, d_max: int, n_marks_max: int):
@@ -490,18 +508,21 @@ def wdvv_identities(space, d_max: int, n_marks_max: int):
 
     quad is a multiset of four basis elements, back a background multiset
     of at most n_marks_max - 4 more, d a curve class of degree at most
-    d_max; only identities that pass the dimension constraint are yielded.
-    Each factor <u, v, mu, S>_e of an identity has 3 + |S| <= n_marks_max - 1
-    marks, so the identities relate invariants of at most n_marks_max - 1
-    marks and never test an n_marks_max-point invariant.
+    d_max; only identities that pass the dimension rule are yielded, and
+    none when n_marks_max < 4.  Each factor <u, v, mu, S>_e of an identity
+    has 3 + |S| <= n_marks_max - 1 marks, so the identities relate
+    invariants of at most n_marks_max - 1 marks and never test an
+    n_marks_max-point invariant.
     """
-    basis = [b for c in range(space.dim + 1) for b in space.basis_of_codim(c)]
+    basis = _basis(space)
+    # the codimensions of quad and back add up to virtual_dim(space, d,
+    # 3 + |back|): each background mark adds one to the rule at 3 marks
     backgrounds = [
         (back, sum(map(sum, back)) - len(back))
-        for size in range(max(0, n_marks_max - 4) + 1)
+        for size in range(n_marks_max - 3)
         for back in itertools.combinations_with_replacement(basis, size)
     ]
-    degrees = [(d, space.dim + space.c1_degree(d)) for d in space.curve_classes(d_max)]
+    degrees = [(d, virtual_dim(space, d, 3)) for d in space.curve_classes(d_max)]
     for quad in itertools.combinations_with_replacement(basis, 4):
         quad_codim = sum(map(sum, quad))
         for back, back_excess in backgrounds:
@@ -559,7 +580,7 @@ def gw_of_classes(space: ProductSpace, classes, d: tuple, store: MemoStore) -> F
     term_lists = [list(cls.terms.items()) for cls in classes]
     if any(not t for t in term_lists):
         return Fraction(0)
-    needed = space.dim + space.c1_degree(d) + len(classes) - 3
+    needed = virtual_dim(space, d, len(classes))
     for combo in itertools.product(*term_lists):
         monos = [e for e, _ in combo]
         if sum(sum(e) for e in monos) != needed:

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .partitions import BoxSpec, Partition, box_partitions, multidegree_text, parse_partition
 from .cohomology import ProductSpace
-from .abelian_gw import CacheFormatError, MemoStore, check_wdvv, gw_invariant, wdvv_identities
+from .abelian_gw import CacheFormatError, MemoStore, admissible_tuples, check_wdvv, gw_invariant, wdvv_identities
 from . import grassmannian
 from .correspondence import (
     AssembledInvariants,
@@ -103,12 +103,14 @@ def _jsonable(x):
 # ---------------------------------------------------------------------------
 # suites
 
-def _suite_martin(cfg: RunConfig, store: MemoStore) -> Report:
+# Each suite returns (instances, violations) or (instances, violations,
+# details); run_suites names, times and files its report.
+
+def _suite_martin(cfg: RunConfig, store: MemoStore):
     from .cohomology import cup, lift, martin_integral
     from .partitions import complement
 
     box = cfg.box()
-    t0 = time.time()
     violations, count = [], 0
     parts = box_partitions(box)
     for lam, mu in itertools.product(parts, parts):
@@ -119,61 +121,44 @@ def _suite_martin(cfg: RunConfig, store: MemoStore) -> Report:
         want = Fraction(1) if mu == complement(lam, box) else Fraction(0)
         if got != want:
             violations.append({"pair": (lam, mu), "got": got, "want": want})
-    return Report("martin", count, violations, time.time() - t0, store.stats())
+    return count, violations
 
 
-def _suite_two_point(cfg: RunConfig, store: MemoStore) -> Report:
-    t0 = time.time()
+def _suite_two_point(cfg: RunConfig, store: MemoStore):
     box = cfg.box()
     violations = check_two_point(box, cfg.max_degree, store)
     npairs = len(box_partitions(box))
-    count = npairs * (npairs + 1) // 2 * cfg.max_degree
-    return Report("two-point", count, violations, time.time() - t0, store.stats())
+    return npairs * (npairs + 1) // 2 * cfg.max_degree, violations
 
 
-def _suite_three_point(cfg: RunConfig, store: MemoStore) -> Report:
+def _suite_three_point(cfg: RunConfig, store: MemoStore):
     box = cfg.box()
-    t0 = time.time()
     tree = generate_formula(3)
     violations, count = [], 0
-    parts = box_partitions(box)
-    for combo in itertools.combinations_with_replacement(parts, 3):
-        for d in range(cfg.max_degree + 1):
-            if sum(p.weight for p in combo) != box.dim + box.n * d:
-                continue
-            count += 1
-            corr = evaluate_formula(tree, list(combo), d, box, store)
-            oracle = grassmannian.three_point(*combo, d, box)
-            if corr != oracle:
-                violations.append({"triple": combo, "d": d, "formula": corr, "oracle": oracle})
-    return Report("three-point", count, violations, time.time() - t0, store.stats())
+    for combo, d in admissible_tuples(box, 3, cfg.max_degree):
+        count += 1
+        corr = evaluate_formula(tree, list(combo), d, box, store)
+        oracle = grassmannian.three_point(*combo, d, box)
+        if corr != oracle:
+            violations.append({"triple": combo, "d": d, "formula": corr, "oracle": oracle})
+    return count, violations
 
 
-def _suite_four_point_divisor(cfg: RunConfig, store: MemoStore) -> Report:
-    box = cfg.box()
-    t0 = time.time()
-    rep = naive_vs_corrected(box, cfg.max_degree, store)
+def _suite_four_point_divisor(cfg: RunConfig, store: MemoStore):
+    rep = naive_vs_corrected(cfg.box(), cfg.max_degree, store)
     sigma1 = Partition((1,))
     with_divisor = [r for r in rep["instances"] if sigma1 in r["partitions"] and r["d"] >= 1]
-    violations = rep["oracle_mismatches"]
-    return Report(
-        "four-point-divisor", len(with_divisor), violations, time.time() - t0, store.stats(),
-        details={"nonzero_corrections": len(rep["nonzero_corrections"])},
-    )
+    return (len(with_divisor), rep["oracle_mismatches"],
+            {"nonzero_corrections": len(rep["nonzero_corrections"])})
 
 
-def _suite_five_point_symmetry(cfg: RunConfig, store: MemoStore, min_samples: int = 50) -> Report:
+def _suite_five_point_symmetry(cfg: RunConfig, store: MemoStore, min_samples: int = 50):
     box = cfg.box()
-    t0 = time.time()
     tree = generate_formula(5)
     rng = random.Random(cfg.seed)
-    parts = box_partitions(box)
-    admissible = [
-        (combo, d)
-        for d in range(cfg.max_degree + 1)
-        for combo in itertools.combinations_with_replacement(parts, 5)
-        if sum(p.weight for p in combo) == box.dim + box.n * d + 2
-    ]
+    # a seed's draws depend on this order: degree-major, and within a degree
+    # the order of admissible_tuples
+    admissible = sorted(admissible_tuples(box, 5, cfg.max_degree), key=lambda t: t[1])
     violations, count = [], 0
     while count < min_samples and admissible:
         combo, d = rng.choice(admissible)
@@ -185,33 +170,26 @@ def _suite_five_point_symmetry(cfg: RunConfig, store: MemoStore, min_samples: in
         count += 1
         if got != ref:
             violations.append({"tuple": combo, "perm": perm, "d": d, "values": (ref, got)})
-    return Report("five-point-symmetry", count, violations, time.time() - t0, store.stats())
+    return count, violations
 
 
-def _suite_wdvv_abelian(cfg: RunConfig, store: MemoStore) -> Report:
-    t0 = time.time()
+def _suite_wdvv_abelian(cfg: RunConfig, store: MemoStore):
     space = cfg.space()
     violations = check_wdvv(space, cfg.max_degree, cfg.max_insertions, store)
-    count = sum(1 for _ in wdvv_identities(space, cfg.max_degree, cfg.max_insertions))
-    return Report("wdvv-abelian", count, violations, time.time() - t0, store.stats())
+    return sum(1 for _ in wdvv_identities(space, cfg.max_degree, cfg.max_insertions)), violations
 
 
-def _suite_wdvv_grass(cfg: RunConfig, store: MemoStore) -> Report:
-    t0 = time.time()
+def _suite_wdvv_grass(cfg: RunConfig, store: MemoStore):
     box = cfg.box()
     violations = assemble_and_check_wdvv(box, cfg.max_degree, cfg.max_insertions, store)
-    count = sum(1 for _ in wdvv_identities(box, cfg.max_degree, cfg.max_insertions))
-    return Report("wdvv-grass", count, violations, time.time() - t0, store.stats())
+    return sum(1 for _ in wdvv_identities(box, cfg.max_degree, cfg.max_insertions)), violations
 
 
-def _suite_omega_trivial(cfg: RunConfig, store: MemoStore) -> Report:
-    t0 = time.time()
-    violations = check_omega_triviality(cfg.box(), cfg.max_degree)
-    return Report("omega-trivial", 1, violations, time.time() - t0, store.stats())
+def _suite_omega_trivial(cfg: RunConfig, store: MemoStore):
+    return 1, check_omega_triviality(cfg.box(), cfg.max_degree)
 
 
-def _suite_mirror_small(cfg: RunConfig, store: MemoStore) -> Report:
-    t0 = time.time()
+def _suite_mirror_small(cfg: RunConfig, store: MemoStore):
     box = cfg.box()
     mm = mirror_map(box, cfg.max_degree, store)
     violations = [
@@ -220,12 +198,10 @@ def _suite_mirror_small(cfg: RunConfig, store: MemoStore) -> Report:
     defects = {lam: d for lam, d in mirror_roundtrip_defect(box, mm).items() if d}
     if defects:
         violations.append({"roundtrip": defects})
-    return Report("mirror-small", len(mm.forward) * cfg.max_degree, violations,
-                  time.time() - t0, store.stats())
+    return len(mm.forward) * cfg.max_degree, violations
 
 
-def _suite_j_i(cfg: RunConfig, store: MemoStore) -> Report:
-    t0 = time.time()
+def _suite_j_i(cfg: RunConfig, store: MemoStore):
     box = cfg.box()
     res = solve_c_coefficients(i_function(box, cfg.max_degree), fundamental_solution(box), box)
     details = {
@@ -234,8 +210,7 @@ def _suite_j_i(cfg: RunConfig, store: MemoStore) -> Report:
             for lam, series in res.c_series.items()
         }
     }
-    return Report("j-i", cfg.max_degree + 1, res.residual, time.time() - t0,
-                  store.stats(), details=details)
+    return cfg.max_degree + 1, res.residual, details
 
 
 SUITE_RUNNERS = {
@@ -262,7 +237,9 @@ def run_suites(cfg: RunConfig, store: MemoStore) -> list[Report]:
     for name in names:
         if name in BOX_SUITES and not cfg.k < cfg.n:
             raise ValueError(f"suite {name!r} needs a Grassmannian target (k < n)")
-        reports.append(SUITE_RUNNERS[name](cfg, store))
+        t0 = time.time()
+        instances, violations, *details = SUITE_RUNNERS[name](cfg, store)
+        reports.append(Report(name, instances, violations, time.time() - t0, store.stats(), *details))
     return reports
 
 
@@ -356,22 +333,15 @@ def _grass_rows(cfg: RunConfig, store: MemoStore):
     box = cfg.box()
     inv = AssembledInvariants(box, store)
     for m in range(3, cfg.max_insertions + 1):
-        for combo in itertools.combinations_with_replacement(box_partitions(box), m):
-            for d in range(cfg.max_degree + 1):
-                if sum(p.weight for p in combo) != box.dim + box.n * d + m - 3:
-                    continue
-                yield d, ";".join(str(p) for p in combo), inv.value(combo, d)
+        for combo, d in admissible_tuples(box, m, cfg.max_degree):
+            yield d, ";".join(str(p) for p in combo), inv.value(combo, d)
 
 
 def _abelian_rows(cfg: RunConfig, store: MemoStore):
     space = cfg.space()
-    monos = space.monomials()
-    degrees = [dd for dd in space.curve_classes(cfg.max_degree) if any(dd)]
     for m in range(3, cfg.max_insertions + 1):
-        for combo in itertools.combinations_with_replacement(monos, m):
-            for dd in degrees:
-                if sum(sum(e) for e in combo) != space.dim + space.c1_degree(dd) + m - 3:
-                    continue
+        for combo, dd in admissible_tuples(space, m, cfg.max_degree):
+            if any(dd):
                 label = ";".join("H^" + ".".join(str(x) for x in e) for e in combo)
                 yield multidegree_text(dd), label, gw_invariant(space, combo, dd, store)
 

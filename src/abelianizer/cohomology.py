@@ -140,17 +140,6 @@ class PClass:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
-
-    def codim(self) -> int:
-        """Common total degree of a homogeneous class (0 for the zero class)."""
-        degs = {sum(e) for e in self.terms}
-        if len(degs) > 1:
-            raise ValueError("class is not homogeneous")
-        return degs.pop() if degs else 0
-
 
 def unit(space: ProductSpace) -> PClass:
     return PClass(space, {(0,) * space.k: Fraction(1)})

@@ -40,7 +40,14 @@ from .cohomology import (
     scale as cls_scale,
     space_of,
 )
-from .abelian_gw import MemoStore, gw_of_classes, small_quantum_product, wdvv_failures
+from .abelian_gw import (
+    MemoStore,
+    admissible_tuples,
+    gw_of_classes,
+    small_quantum_product,
+    virtual_dim,
+    wdvv_failures,
+)
 from .sparse import add, mul, scale
 
 
@@ -216,11 +223,14 @@ def evaluate_formula(tree: FormulaTree, partitions, d: int, box: BoxSpec,
     """Evaluate the corrected l-point Grassmannian invariant at degree d.
 
     Sums over assignments of box partitions to the contraction indices and
-    over splittings of d across the bracket factors.
+    over splittings of d across the bracket factors.  A tuple that breaks the
+    dimension rule (virtual_dim) is 0 before any bracket is evaluated.
     """
     parts = [p if isinstance(p, Partition) else Partition(p) for p in partitions]
     if len(parts) != tree.l:
         raise ValueError(f"tree has arity {tree.l}, got {len(parts)} partitions")
+    if sum(p.weight for p in parts) != virtual_dim(box, d, tree.l):
+        return Fraction(0)
     basis = box_partitions(box)
     total = Fraction(0)
     for sign, brackets, nc in tree.groups:
@@ -310,29 +320,25 @@ def naive_vs_corrected(box: BoxSpec, d_max: int, store: MemoStore) -> dict:
     and (when a divisor insertion permits) the divisor-axiom oracle value.
     """
     tree = generate_formula(4)
-    parts = box_partitions(box)
     sigma1 = Partition((1,))
     instances = []
-    for combo in itertools.combinations_with_replacement(parts, 4):
-        for d in range(d_max + 1):
-            if sum(p.weight for p in combo) != box.dim + box.n * d + 1:
-                continue
-            ordered = sorted(combo, key=grlex_key)
-            naive = i_bracket(
-                [Lifted(ordered[0]), Lifted(ordered[1]),
-                 LiftedTimesOmega(ordered[2]), LiftedTimesOmega(ordered[3])],
-                d, box, store,
-            )
-            corrected = evaluate_formula(tree, ordered, d, box, store)
-            oracle = None
-            if sigma1 in ordered and d >= 1:
-                rest = list(ordered)
-                rest.remove(sigma1)
-                oracle = d * grassmannian.three_point(rest[0], rest[1], rest[2], d, box)
-            instances.append(
-                {"partitions": ordered, "d": d, "naive": naive,
-                 "corrected": corrected, "oracle": oracle}
-            )
+    for combo, d in admissible_tuples(box, 4, d_max):
+        ordered = sorted(combo, key=grlex_key)
+        naive = i_bracket(
+            [Lifted(ordered[0]), Lifted(ordered[1]),
+             LiftedTimesOmega(ordered[2]), LiftedTimesOmega(ordered[3])],
+            d, box, store,
+        )
+        corrected = evaluate_formula(tree, ordered, d, box, store)
+        oracle = None
+        if sigma1 in ordered and d >= 1:
+            rest = list(ordered)
+            rest.remove(sigma1)
+            oracle = d * grassmannian.three_point(rest[0], rest[1], rest[2], d, box)
+        instances.append(
+            {"partitions": ordered, "d": d, "naive": naive,
+             "corrected": corrected, "oracle": oracle}
+        )
     return {
         "instances": instances,
         "nonzero_corrections": [r for r in instances if r["naive"] != r["corrected"]],
@@ -511,9 +517,7 @@ class AssembledInvariants:
             return self.cache[key]
         m = len(parts)
         box = self.box
-        if sum(p.weight for p in parts) != box.dim + box.n * d + m - 3:
-            val = Fraction(0)
-        elif d == 0:
+        if d == 0:
             if m == 3:
                 prod = lift(parts[0], box)
                 for p in parts[1:]:

@@ -16,6 +16,7 @@ from abelianizer.abelian_gw import (
     gw_invariant,
     gw_of_classes,
     _gw,
+    admissible_tuples,
     small_quantum_product,
     sub_multisets,
     three_point,
@@ -24,7 +25,7 @@ from abelianizer.abelian_gw import (
     wdvv_identities,
 )
 from abelianizer.correspondence import AssembledInvariants
-from abelianizer.partitions import BoxSpec
+from abelianizer.partitions import BoxSpec, box_partitions
 
 P3 = ProductSpace(1, 4)
 PP = ProductSpace(2, 2)
@@ -88,6 +89,44 @@ def test_three_point_examples():
     assert three_point(pt, pt, pt, (1, 1)) == 1
     # dimension filter
     assert three_point(h, h, h3, (1,)) == 0
+
+
+@pytest.mark.parametrize("space", [P2, ProductSpace(2, 3), ProductSpace(2, 4), ProductSpace(3, 2)],
+                         ids=["P2", "(P2)^2", "(P3)^2", "(P1)^3"])
+def test_three_point_closed_form_matches_quantum_ring(space):
+    # the base case of _gw, factor by factor, against the small quantum ring
+    store, nonzero = MemoStore(), 0
+    for triple in itertools.combinations_with_replacement(space.monomials(), 3):
+        a, b, c = (mono(space, e) for e in triple)
+        for d in space.curve_classes(3):
+            want = three_point(a, b, c, d)
+            assert _gw(space, tuple(sorted(triple, reverse=True)), d, store, "default", None) == want, \
+                (triple, d)
+            nonzero += want != 0
+    assert nonzero >= len(space.monomials()), nonzero
+
+
+def _filtered_loops(space, m, d_max):
+    # the rule written out on each space, independently of virtual_dim
+    if isinstance(space, BoxSpec):
+        basis = box_partitions(space)
+        needed = {d: space.dim + space.n * d + m - 3 for d in range(d_max + 1)}
+    else:
+        basis = space.monomials()
+        needed = {d: space.k * (space.n - 1) + space.n * sum(d) + m - 3
+                  for d in space.curve_classes(d_max)}
+    return [(combo, d)
+            for combo in itertools.combinations_with_replacement(basis, m)
+            for d, need in needed.items()
+            if sum(map(sum, combo)) == need]
+
+
+@pytest.mark.parametrize("space", [BoxSpec(2, 4), BoxSpec(3, 6), ProductSpace(2, 3), ProductSpace(3, 2)],
+                         ids=["Gr(2,4)", "Gr(3,6)", "(P2)^2", "(P1)^3"])
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_admissible_tuples_match_filtered_loops(space, m):
+    want = _filtered_loops(space, m, 2)
+    assert list(admissible_tuples(space, m, 2)) == want and want
 
 
 def test_gw_divisor_axiom_example(store):

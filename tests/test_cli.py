@@ -135,6 +135,14 @@ def test_verify_all_malformed_cache(tmp_path):
     ("wdvv-abelian", 2, 2, 2, 6, 462),
     ("wdvv-grass", 2, 4, 2, 6, 788),
     ("wdvv-grass", 2, 5, 2, 5, 1369),
+    # no associativity identity has fewer than 4 marks
+    ("wdvv-grass", 2, 4, 2, 3, 0),
+    ("wdvv-abelian", 2, 3, 2, 3, 0),
+    # suites that loop over admissible_tuples
+    ("three-point", 2, 4, 2, 3, 15),
+    ("three-point", 2, 5, 2, 3, 43),
+    ("four-point-divisor", 2, 4, 2, 4, 8),
+    ("four-point-divisor", 2, 5, 2, 4, 24),
 ])
 def test_wdvv_instance_counts(suite, k, n, max_degree, max_insertions, instances, store):
     # instances_per_s in the benchmark divides by these counts
@@ -142,6 +150,15 @@ def test_wdvv_instance_counts(suite, k, n, max_degree, max_insertions, instances
                     suites=(suite,))
     (report,) = run_suites(cfg, store)
     assert report.passed and report.instances == instances
+
+
+def test_five_point_symmetry_draws_pinned_sample():
+    # seed 0 draws from a degree-major list of admissible tuples; the store
+    # counts pin which samples it drew
+    store = MemoStore()
+    (report,) = run_suites(RunConfig(k=2, n=4, max_degree=2, suites=("five-point-symmetry",)), store)
+    assert report.passed and report.instances == 50
+    assert store.stats() == {"entries": 3135, "hits": 19222, "misses": 3230}
 
 
 def test_cache_roundtrip(tmp_path, capsys):

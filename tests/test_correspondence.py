@@ -176,6 +176,16 @@ def test_three_point_correspondence(kn, store):
     assert count > 10
 
 
+def test_evaluate_formula_checks_rule_up_front():
+    # weights add to 16, the rule asks 4 + 4*2 + 3 = 15: zero before any
+    # bracket is expanded or any invariant looked up
+    st = MemoStore()
+    parts = [[1], [2], [1, 1], [2, 1], [2, 2], [2, 2]]
+    assert evaluate_formula(generate_formula(6), parts, 2, B24, st) == 0
+    assert st.stats() == {"entries": 0, "hits": 0, "misses": 0}
+    assert st.brackets == {}
+
+
 def test_four_point_divisor_oracle(store):
     rep = naive_vs_corrected(B24, 2, store)
     assert rep["oracle_mismatches"] == []
