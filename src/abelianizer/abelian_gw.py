@@ -2,12 +2,17 @@
 
 On both (P^{n-1})^k and Gr(k, n) an m-point invariant of curve class d
 vanishes unless its insertion codimensions add up to virtual_dim = dim +
-c_1(d) + m - 3.  On the product the 3-point case of this rule holds factor by
-factor (the product formula), which gives the 3-point base case; three_point,
-from the small quantum ring tensor_i Q[H_i, Q_i]/(H_i^n - Q_i), is its
-reference.  Invariants with four or more insertions are reconstructed
-through the divisor relation and the associativity (WDVV) constraints of the
-big quantum product, with exact memoization.
+c_1(d) + m - 3.  On the product the product formula (Kontsevich-Manin,
+q-alg/9502009) sharpens this factor by factor: with ex_i = (sum of the
+marks' exponents of H_i) - (n - 1) - n d_i, an invariant with m >= 3 marks
+is 0 unless 0 <= ex_i <= m - 3 for every i and ex_i = 0 wherever d_i = 0
+(a degree-0 factor gives a class in H^0(M-bar_{0,m})), and at m = 3 it is
+then 1 (three_point, from the small quantum ring, is the reference).
+kunneth_allows is this rule; _gw applies it before the store, so no
+3-mark or forbidden key is looked up, reconstructed or stored.  Invariants
+with four or more insertions are reconstructed through the divisor
+relation and the associativity (WDVV) constraints of the big quantum
+product, with exact memoization.
 
 WDVV bookkeeping.  For basis elements u, v, x, y, a background multiset B
 and a curve class d, put
@@ -40,6 +45,15 @@ space that supplies dim, c1_degree, dual and basis_of_codim: this module's
 ProductSpace and the Grassmannian's BoxSpec alike.  P is E over the proper
 splittings; the checks on both sides enumerate their identities with
 wdvv_identities and compare the three contractions with wdvv_failures.
+check_wdvv skips an identity of m = 4 + |B| marks that fails the rule
+with m - 4 in place of m - 3.  The skip is exact: in a term <u, v, S,
+mu>_e <mu^dual, x, y, T>_f the factors' ex_i add up to the identity's
+(mu, mu^dual add n - 1 on each factor), their bounds |S| and |T| add up to
+m - 4, and e_i = f_i = 0 where d_i = 0, so every term has a factor that
+_gw answers 0 without the store.  A WDVV step picks its x1 so that its
+hop term <H_i x1, g', x2, B>_d is no key in progress (x1 = g' gives the
+key itself).
+
 A contraction reads its left factors as half-contractions
 {mu: <u, v, mu, S>_e} from a dict that its caller owns: wdvv_failures keeps
 one for the whole check, so the three sides of every identity share them,
@@ -199,9 +213,13 @@ class MemoStore:
     def load(self, path=None):
         """Read the entries of the cache file at path (default self.path).
 
+        An entry that _closed_form settles (files written before the
+        Kunneth filter hold them) is checked against it and dropped, and
+        the next save then rewrites the file without it.
+
         Raises CacheVersionError on a wrong header, and CacheFormatError on a
-        malformed entry or on one that contradicts another entry or this
-        store; the store is then unchanged.
+        malformed entry, on one that contradicts the product formula, another
+        entry or this store; the store is then unchanged.
         """
         path = path or self.path
         with open(path) as fh:
@@ -209,7 +227,7 @@ class MemoStore:
             header, _, body = fh.read().partition("\n")
         if header != self.VERSION:
             raise CacheVersionError(f"expected {self.VERSION!r}, found {header!r}")
-        entries, pieces, values = {}, ({}, {}), {}
+        entries, pieces, values, dropped = {}, ({}, {}), {}, False
         for lineno, line in enumerate(body.split("\n"), start=2):
             if not line:
                 continue
@@ -222,6 +240,14 @@ class MemoStore:
                     value = values[val_text] = Fraction(int(num), int(den))
             except (ValueError, ZeroDivisionError):
                 raise CacheFormatError(f"{path}:{lineno}: malformed entry {line!r}") from None
+            if len(key[3]) >= 3:
+                closed = _closed_form(key[1], key[3], key[2])
+                if closed is not None:
+                    if value != closed:
+                        raise CacheFormatError(
+                            f"{path}:{lineno}: wrong entry: {key}: {value}, the product formula gives {closed}")
+                    dropped = True
+                    continue
             old = entries.setdefault(key, value)
             # one Fraction per value text, so a repeat is the same object
             if old is not value and old != value:
@@ -234,7 +260,7 @@ class MemoStore:
                     raise CacheFormatError(
                         f"{path}: conflicting entry: {key}: {value} in the file, {old} in the store")
             self.data.update(entries)
-            self._changed = len(self.data) > len(entries)
+            self._changed = dropped or len(self.data) > len(entries)
             self._synced = (os.path.abspath(path), stamp)
         return self
 
@@ -297,9 +323,30 @@ def _pick_pivot(ins, policy: str):
     return ins[0] if policy == "default" else ins[-1]
 
 
-def _factor_variable(mono, policy: str) -> int:
-    idx = [i for i, x in enumerate(mono) if x > 0]
-    return idx[0] if policy == "default" else idx[-1]
+def _factoring(space, ins, dist, policy: str, chain):
+    """(i, g', x1, others, hop key) for a WDVV step on ins that factors dist
+    as H_i g' and takes x1 out of the other marks; the hop key is that of
+    <H_i x1, g', others>, None when H_i x1 = 0.  Of the candidates, in
+    policy order (i, then x1), the first whose hop key is not in chain (the
+    keys in progress, ins among them) is taken, else the first."""
+    rest = list(_remove_one(ins, dist))
+    factors = [j for j, x in enumerate(dist) if x > 0]
+    if policy != "default":
+        rest.reverse()
+        factors.reverse()
+    first = None
+    for i in factors:
+        gprime = tuple(x - (j == i) for j, x in enumerate(dist))
+        h_i = _unit_vec(space.k, i)
+        for j, x1 in enumerate(rest):
+            others = rest[:j] + rest[j + 1:]
+            hop = _mono_cup(h_i, x1, space.n)
+            hop_ins = None if hop is None else tuple(sorted((*others, hop, gprime), reverse=True))
+            choice = (i, gprime, x1, others, hop_ins)
+            if hop_ins not in chain:
+                return choice
+            first = first or choice
+    return first
 
 
 def _mono_cup(a: Mono, b: Mono, n: int):
@@ -328,37 +375,31 @@ def gw_invariant(space: ProductSpace, insertions, d, store: MemoStore, policy: s
     return _gw(space, tuple(sorted(monos, reverse=True)), tuple(d), store, policy, None)
 
 
-def _gw(space, ins, d, store, policy, dist) -> Fraction:
-    n, k = space.n, space.k
-    if any(x < 0 for x in d):
-        return Fraction(0)
-    key = (k, n, d, ins)
+def _gw(space, ins, d, store, policy, hop) -> Fraction:
+    if min(d) < 0:
+        return _ZERO
+    if len(ins) < 3:
+        if any(d) and sum(map(sum, ins)) == virtual_dim(space, d, len(ins)):
+            raise ValueError("invariants with fewer than 3 marks go through two_point")
+        return _ZERO  # off the dimension rule, or unstable at degree 0
+    closed = _closed_form(space.n, ins, d)
+    if closed is not None:
+        return closed
+    key = (space.k, space.n, d, ins)
     cached = store.get(key)
     if cached is not None:
         return cached
 
-    m = len(ins)
-    if sum(map(sum, ins)) != virtual_dim(space, d, m):
-        value = Fraction(0)
-    elif m == 3:
-        # product formula: a 3-point invariant of (P^{n-1})^k is the product
-        # over the factors of the 3-point invariants of P^{n-1}, and
-        # <H^a, H^b, H^c>_e on P^{n-1} is 1 when a + b + c = n - 1 + n e
-        value = Fraction(all(sum(e[i] for e in ins) == n - 1 + n * d[i] for i in range(k)))
-    elif not any(d):
-        value = Fraction(0)  # degree 0 needs psi-classes beyond 3 marks
-    elif m < 3:
-        raise ValueError("invariants with fewer than 3 marks go through two_point")
-    elif any(sum(e) == 0 for e in ins):
-        value = Fraction(0)  # fundamental-class axiom, d != 0 here
+    if any(sum(e) == 0 for e in ins):
+        value = _ZERO  # fundamental-class axiom; here d != 0, since m >= 4
     else:
         div = next((e for e in ins if sum(e) == 1), None)
         if div is not None:
             i = div.index(1)
             rest = _remove_one(ins, div)
-            value = d[i] * _gw(space, rest, d, store, policy, None) if d[i] else Fraction(0)
+            value = d[i] * _gw(space, rest, d, store, policy, None) if d[i] else _ZERO
         else:
-            value = _wdvv_step(space, ins, d, store, policy, dist)
+            value = _wdvv_step(space, ins, d, store, policy, hop)
 
     if value.denominator != 1:
         raise ArithmeticError(f"non-integral invariant {value} for {key}")
@@ -366,29 +407,52 @@ def _gw(space, ins, d, store, policy, dist) -> Fraction:
     return value
 
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
+def kunneth_allows(n: int, marks, d, excess: int) -> bool:
+    """Whether the product formula lets the monomial marks on (P^{n-1})^k at
+    multidegree d give a nonzero invariant (excess = len(marks) - 3) or a
+    WDVV identity with a nonzero side (excess = len(marks) - 4): no ex_i
+    (see the module docstring) is negative, ex_i = 0 where d_i = 0, and
+    they add up to excess, which is the dimension rule (virtual_dim)."""
+    top = n - 1
+    total = 0
+    for col, di in zip(zip(*marks), d):
+        ex = sum(col) - top - n * di
+        if ex < 0 or (ex and not di):
+            return False
+        total += ex
+    return total == excess
+
+
+def _closed_form(n: int, ins, d):
+    """<ins>_d on (P^{n-1})^k, m >= 3 marks, where the product formula
+    gives it: 0 if kunneth_allows forbids it, else 1 at m = 3; None when it
+    takes reconstruction."""
+    if not kunneth_allows(n, ins, d, len(ins) - 3):
+        return _ZERO
+    return _ONE if len(ins) == 3 else None
+
+
 def _remove_one(ins: tuple, item) -> tuple:
     idx = ins.index(item)
     return ins[:idx] + ins[idx + 1 :]
 
 
-def _wdvv_step(space, ins, d, store, policy, dist) -> Fraction:
+def _wdvv_step(space, ins, d, store, policy, hop) -> Fraction:
     n = space.n
-    if dist is None or dist not in ins:
-        dist = _pick_pivot(ins, policy)
-    i = _factor_variable(dist, policy)
-    gprime = tuple(x - (1 if j == i else 0) for j, x in enumerate(dist))
-    rest = sorted(_remove_one(ins, dist), reverse=True)
-    if policy == "default":
-        x1, x2, back = rest[0], rest[1], tuple(rest[2:])
-    else:
-        x1, x2, back = rest[-1], rest[-2], tuple(rest[:-2])
+    # hop: None, or (g', keys whose steps are in progress) from the hop term
+    # of the step that called this one
+    dist, chain = hop or (_pick_pivot(ins, policy), ())
+    chain += (ins,)
+    i, gprime, x1, others, hop_ins = _factoring(space, ins, dist, policy, chain)
+    x2, back = others[0], tuple(others[1:])
 
     total = Fraction(0)
 
-    hop = _mono_cup(_unit_vec(space.k, i), x1, n)
-    if hop is not None:
-        new_ins = tuple(sorted(back + (x2, hop, gprime), reverse=True))
-        total += _gw(space, new_ins, d, store, policy, gprime)
+    if hop_ins is not None:
+        total += _gw(space, hop_ins, d, store, policy, (gprime, chain))
 
     if d[i]:
         a_cup = _mono_cup(gprime, x2, n)
@@ -531,14 +595,15 @@ def wdvv_identities(space, d_max: int, n_marks_max: int):
                     yield quad, back, d
 
 
-def wdvv_failures(space, d_max: int, n_marks_max: int, value):
+def wdvv_failures(space, identities, value):
     """Yield (quad, back, d, (E(a,b|c,e), E(a,c|b,e), E(a,e|b,c))) for every
-    identity of wdvv_identities whose three contractions disagree."""
+    identity (quad, back, d) of identities, as wdvv_identities yields them,
+    whose three contractions disagree."""
     # local to this check: the half-contractions (see wdvv_contraction) that
     # every identity shares, and the sub-multisets of each background and
     # the splits of each degree, built once
     halves, subs_of, splits_of = {}, {}, {}
-    for quad, back, d in wdvv_identities(space, d_max, n_marks_max):
+    for quad, back, d in identities:
         a, b, c, e = quad
         if back not in subs_of:
             subs_of[back] = sub_multisets(back)
@@ -603,13 +668,19 @@ def check_wdvv(space: ProductSpace, d_total_max: int, n_marks_max: int, store: M
 
     An identity with n_marks_max marks has factors of at most
     n_marks_max - 1 marks (see wdvv_identities), so this checks invariants
-    of at most n_marks_max - 1 marks.
+    of at most n_marks_max - 1 marks.  An identity that kunneth_allows
+    forbids is skipped: every term of it has a factor that _gw answers 0
+    without the store, so it reads 0 = 0 = 0 (see the module docstring).
     """
 
     def value(marks, d):
         return _gw(space, tuple(sorted(marks, reverse=True)), d, store, "default", None)
 
+    identities = (
+        (quad, back, d) for quad, back, d in wdvv_identities(space, d_total_max, n_marks_max)
+        if kunneth_allows(space.n, quad + back, d, len(back))
+    )
     return [
         {"quad": quad, "background": back, "degree": d, "values": sides}
-        for quad, back, d, sides in wdvv_failures(space, d_total_max, n_marks_max, value)
+        for quad, back, d, sides in wdvv_failures(space, identities, value)
     ]

@@ -47,6 +47,7 @@ from .abelian_gw import (
     small_quantum_product,
     virtual_dim,
     wdvv_failures,
+    wdvv_identities,
 )
 from .sparse import add, mul, scale
 
@@ -545,5 +546,5 @@ def assemble_and_check_wdvv(box: BoxSpec, d_max: int, l_max: int, store: MemoSto
     inv = AssembledInvariants(box, store, corrupt_epsilon)
     return [
         {"quad": quad, "background": back, "d": d, "values": sides}
-        for quad, back, d, sides in wdvv_failures(box, d_max, l_max, inv.value)
+        for quad, back, d, sides in wdvv_failures(box, wdvv_identities(box, d_max, l_max), inv.value)
     ]

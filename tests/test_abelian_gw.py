@@ -1,11 +1,14 @@
+import hashlib
 import itertools
 import os
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from abelianizer import abelian_gw
 from abelianizer.cohomology import PClass, ProductSpace, add, cup, scale, unit, variable
 from abelianizer.abelian_gw import (
     CacheConsistencyError,
@@ -255,6 +258,22 @@ def test_ring_consistency_roundtrip(store):
                 assert recon == prod[dd], (ea, eb, dd)
 
 
+def test_fewer_than_three_marks(store):
+    # gw_invariant and gw_of_classes agree below 3 marks: 0 off the
+    # dimension rule and at degree 0, a ValueError where the invariant may
+    # be nonzero (two_point computes those)
+    pt = (1, 1)
+    for marks, d in [([pt, (1, 0)], (1, 0)), ([pt], (1, 0))]:
+        with pytest.raises(ValueError, match="two_point"):
+            gw_invariant(PP, marks, d, store)
+    with pytest.raises(ValueError, match="two_point"):
+        gw_of_classes(PP, [mono(PP, pt)], (1, 0), store)
+    for marks, d in [([(1, 0)], (1, 0)), ([(0, 0)], (0, 0)), ([pt], (0, 0))]:
+        assert gw_invariant(PP, marks, d, store) == 0
+        assert gw_of_classes(PP, [mono(PP, e) for e in marks], d, store) == 0
+    assert gw_invariant(PP, [pt, (0, 0)], (1, 0), store) == 0
+
+
 def test_two_point(store):
     # lines on P2 through two points; the (1,0)-ruling of P1xP1 through a point
     assert two_point(P2, (2,), (2,), (1,), store) == 1
@@ -275,7 +294,8 @@ def test_gw_of_classes_bilinear(store):
 
 def test_memo_store_roundtrip(tmp_path, store):
     st = MemoStore()
-    gw_invariant(PP, [(1, 1)] * 3, (1, 1), st)
+    gw_invariant(PP, [(1, 1)] * 5, (1, 2), st)
+    assert st.data
     path = tmp_path / "cache.txt"
     st.save(path)
     text = path.read_text()
@@ -305,9 +325,48 @@ def test_memo_store_malformed_entry(tmp_path, entry):
         MemoStore().load(path)
 
 
+@pytest.mark.parametrize("entry", [
+    "2,4|1,0|3.2;3.1;1.0\t7/1",       # 3 marks: the product formula gives 1
+    "2,4|1,0|3.2;3.1;1.0\t0/1",
+    "2,2|1,1|1.1;1.1;1.0\t1/1",       # 3 marks, ex = (0, -1): it gives 0
+    "2,2|0,1|1.1;1.0;0.1;0.1\t1/1",   # 4 marks, ex_1 = 1 where d_1 = 0: 0
+])
+def test_memo_store_checks_closed_form_entries(tmp_path, entry):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"{GOLDEN_TEXT}{entry}\n")
+    with pytest.raises(CacheFormatError, match=":8: wrong entry"):
+        MemoStore().load(path)
+
+
+def test_memo_store_loads_closed_form_entries_without_keeping_them(tmp_path):
+    # a file written before the Kunneth filter holds every key the engine
+    # evaluated, 3-mark and forbidden ones too: it loads, each such entry
+    # checked and left out; the next save writes the file once without
+    # them, and a save after that leaves it alone
+    space, engine, old = ProductSpace(2, 3), MemoStore(), MemoStore()
+    for m in (3, 4, 5):
+        for combo, d in admissible_tuples(space, m, 2):
+            key = (2, 3, d, tuple(sorted(combo, reverse=True)))
+            old.put(key, gw_invariant(space, combo, d, engine))
+    path = tmp_path / "old.txt"
+    old.save(path)
+    before = _stamp(path)
+    st = MemoStore().load(path)
+    kept = {key: v for key, v in old.data.items() if _product_formula_value(space, key[3], key[2]) is None}
+    assert st.data == kept and 0 < len(kept) < len(old)
+    st.save(path)
+    assert _stamp(path) != before
+    compact = _stamp(path)
+    again = MemoStore().load(path)
+    assert again.data == kept
+    again.save(path)
+    assert _stamp(path) == compact
+
+
 def test_memo_store_conflicting_entries(tmp_path):
     path = tmp_path / "bad.txt"
-    path.write_text(f"{MemoStore.VERSION}\n2,2|1,1|1.1;1.1;1.1\t1/1\n2,2|1,1|1.1;1.1;1.1\t2/1\n")
+    key = "2,2|1,2|1.1;1.1;1.1;1.1;1.1"
+    path.write_text(f"{MemoStore.VERSION}\n{key}\t1/1\n{key}\t2/1\n")
     with pytest.raises(CacheFormatError, match=":3: conflicting entry"):
         MemoStore().load(path)
 
@@ -317,10 +376,10 @@ def test_memo_store_save_is_atomic(tmp_path, monkeypatch):
     # temporary file behind
     path = tmp_path / "cache.txt"
     st = MemoStore()
-    gw_invariant(PP, [(1, 1)] * 3, (1, 1), st)
+    gw_invariant(PP, [(1, 1)] * 5, (1, 2), st)
     st.save(path)
     before = path.read_text()
-    gw_invariant(PP, [(1, 1), (1, 1), (1, 0), (0, 1)], (1, 1), st)
+    gw_invariant(PP, [(1, 1)] * 5, (2, 1), st)
 
     def failing_replace(src, dst):
         raise OSError("disk full")
@@ -332,22 +391,24 @@ def test_memo_store_save_is_atomic(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["cache.txt"]
 
 
+# entries that load keeps: none of three or more marks that the product
+# formula settles (the 2-mark entry only exercises the number format)
 GOLDEN_ENTRIES = [
-    ((2, 2, (1, 1), ((1, 1), (1, 1), (1, 1))), Fraction(1)),
-    ((2, 2, (1, 1), ((1, 1), (1, 1), (1, 1), (1, 0))), Fraction(1)),
-    ((2, 2, (0, 1), ((1, 1), (1, 0), (0, 0))), Fraction(0)),
+    ((2, 2, (1, 2), ((1, 1),) * 5), Fraction(1)),
+    ((2, 2, (1, 2), ((1, 1),) * 5 + ((1, 0),)), Fraction(1)),
+    ((2, 2, (1, 1), ((1, 1),) * 4 + ((0, 0),)), Fraction(0)),
     ((1, 3, (3,), ((2,),) * 8), Fraction(12)),
     ((1, 3, (10,), ((2,), (1,))), Fraction(-3, 2)),
-    ((2, 4, (1, 0), ((3, 2), (3, 1), (1, 0))), Fraction(7)),
+    ((2, 4, (1, 0), ((3, 0), (2, 3), (2, 0), (1, 0))), Fraction(1)),
 ]
 GOLDEN_TEXT = (
     "abelian-gw-cache v1\n"
     "1,3|10|2;1\t-3/2\n"
     "1,3|3|2;2;2;2;2;2;2;2\t12/1\n"
-    "2,2|0,1|1.1;1.0;0.0\t0/1\n"
-    "2,2|1,1|1.1;1.1;1.1\t1/1\n"
-    "2,2|1,1|1.1;1.1;1.1;1.0\t1/1\n"
-    "2,4|1,0|3.2;3.1;1.0\t7/1\n"
+    "2,2|1,1|1.1;1.1;1.1;1.1;0.0\t0/1\n"
+    "2,2|1,2|1.1;1.1;1.1;1.1;1.1\t1/1\n"
+    "2,2|1,2|1.1;1.1;1.1;1.1;1.1;1.0\t1/1\n"
+    "2,4|1,0|3.0;2.3;2.0;1.0\t1/1\n"
 )
 
 
@@ -427,7 +488,7 @@ def test_memo_store_two_writers_keep_both(tmp_path):
     path = tmp_path / "cache.txt"
     path.write_text(GOLDEN_TEXT)
     first, second = MemoStore().load(path), MemoStore().load(path)
-    gw_invariant(PP, [(1, 1), (1, 1), (1, 0), (0, 1)], (1, 1), first)
+    gw_invariant(PP, [(1, 1)] * 5, (2, 1), first)
     gw_invariant(P2, [(2,)] * 5, (2,), second)
     assert set(first.data) - set(second.data) and set(second.data) - set(first.data)
     first.save(path)
@@ -607,13 +668,13 @@ def test_contraction_matches_position_masks(space, d_max, n_marks_max, make_valu
 
 
 def test_wdvv_check_work_set():
-    # the check evaluates the invariants that the position-mask contraction
-    # evaluated, the right factor only where the left one is nonzero: the
-    # store ends with the entry and miss counts that contraction left
+    # the store holds only the invariants that cost reconstruction: the
+    # product formula settles every 3-mark and every forbidden key without
+    # it, and no key is computed twice (a miss per entry)
     st = MemoStore()
     assert check_wdvv(ProductSpace(2, 4), 1, 5, st) == []
     stats = st.stats()
-    assert (stats["entries"], stats["misses"]) == (1283, 1309)
+    assert (stats["entries"], stats["misses"]) == (74, 74)
 
 
 def test_wdvv_check_mark_bound():
@@ -630,7 +691,7 @@ def test_wdvv_check_keeps_no_halves():
     # test, so no earlier check can have left clean halves behind.
     space = ProductSpace(3, 2)
     bad = MemoStore()
-    bad.put((3, 2, (1, 1, 1), ((1, 1, 1),) * 3), Fraction(2))  # truly 1
+    bad.put((3, 2, (0, 1, 1), ((1, 1, 0), (0, 1, 1), (0, 1, 1), (0, 1, 1))), Fraction(2))  # truly 1
     assert check_wdvv(space, 3, 5, bad) != []
     assert check_wdvv(space, 3, 5, MemoStore()) == []
 
@@ -638,7 +699,120 @@ def test_wdvv_check_keeps_no_halves():
 def test_wdvv_corrupted_store_detected():
     st = MemoStore()
     check_wdvv(PP, 2, 6, st)
-    key = (2, 2, (1, 1), ((1, 1), (1, 1), (1, 1)))
+    key = (2, 2, (1, 1), ((1, 1), (1, 1), (1, 1), (1, 0)))  # truly 1
     assert key in st.data
     st.data[key] = Fraction(2)
     assert check_wdvv(PP, 2, 6, st) != []
+
+
+def _product_formula_allows(space, marks, d, top):
+    # the product formula written out: each factor's excess ex_i lies in
+    # [0, top] and is 0 where d_i = 0
+    n = space.n
+    for i in range(space.k):
+        ex = sum(e[i] for e in marks) - (n - 1) - n * d[i]
+        if ex < 0 or ex > top or (ex and not d[i]):
+            return False
+    return True
+
+
+def _product_formula_value(space, combo, d):
+    # an admissible m-point monomial invariant: 0 unless the product formula
+    # allows it with top = m - 3; 1 at 3 marks; None when it takes
+    # reconstruction
+    if not _product_formula_allows(space, combo, d, len(combo) - 3):
+        return 0
+    return 1 if len(combo) == 3 else None
+
+
+KUNNETH_CASES = [
+    # space, d_max, admissible tuples (3..6 marks), nonzero, sha256 of the
+    # sorted nonzero "d combo value" lines: computed before the filter
+    (ProductSpace(2, 3), 2, 2890, 180, "37344c35f00ed169fcd824be784dcbba9323d6cfe86bd97492048b881e70581c"),
+    (ProductSpace(3, 2), 3, 6023, 209, "158298c57622b40172d958c61a2cb67442d09d7c885123ae18c0e35797d8f83b"),
+]
+
+
+@pytest.mark.parametrize("space, d_max, tuples, nonzero, digest", KUNNETH_CASES, ids=["(P2)^2", "(P1)^3"])
+def test_kunneth_filter_keeps_every_nonzero_value(space, d_max, tuples, nonzero, digest):
+    store, lines, count = MemoStore(), [], 0
+    for m in range(3, 7):
+        for combo, d in admissible_tuples(space, m, d_max):
+            count += 1
+            value = gw_invariant(space, combo, d, store)
+            if value:
+                lines.append(f"{d} {combo} {value}")
+    lines.sort()
+    got = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (count, len(lines), got) == (tuples, nonzero, digest)
+
+
+@pytest.mark.parametrize("space, d_max", [case[:2] for case in KUNNETH_CASES], ids=["(P2)^2", "(P1)^3"])
+def test_product_formula_keys_skip_the_store(space, d_max):
+    # every 3-mark key and every key the product formula forbids is answered
+    # without a store lookup, a reconstruction or an entry
+    store, settled = MemoStore(), 0
+    for m in range(3, 7):
+        for combo, d in admissible_tuples(space, m, d_max):
+            want = _product_formula_value(space, combo, d)
+            if want is not None:
+                assert gw_invariant(space, combo, d, store) == want, (combo, d)
+                settled += 1
+    assert settled > 1000
+    assert store.stats() == {"entries": 0, "hits": 0, "misses": 0}
+
+
+def test_wdvv_skip_is_exact(monkeypatch):
+    # check_wdvv skips exactly the identities the product formula makes
+    # 0 = 0 = 0.  On a warm store no WDVV step runs, so every contraction is
+    # one the check evaluates itself; a side (u, v | x, y) is recorded with
+    # its background (the last sub-multiset) and degree (the split (0, d)).
+    space, st = ProductSpace(2, 4), MemoStore()
+    assert check_wdvv(space, 1, 5, st) == []
+    evaluated = set()
+    contraction = abelian_gw.wdvv_contraction
+
+    def recording(sp, u, v, x, y, subs, splits, value, halves):
+        evaluated.add(((u, v, x, y), subs[-1][0], splits[0][1]))
+        return contraction(sp, u, v, x, y, subs, splits, value, halves)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(abelian_gw, "wdvv_contraction", recording)
+        assert check_wdvv(space, 1, 5, st) == []
+    assert st.misses == len(st)
+    identities = list(wdvv_identities(space, 1, 5))
+    # an identity of m marks is kept when the product formula allows its
+    # marks with top = m - 4
+    kept = {(quad, back, d) for quad, back, d in identities
+            if _product_formula_allows(space, quad + back, d, len(back))}
+    # the first side of an identity is (a, b | c, e) in the order of quad
+    assert {idt for idt in identities if idt in evaluated} == kept
+    assert (len(identities), len(kept)) == (9089, 795)
+    skipped = [idt for idt in identities if idt not in kept]
+    value = _product_value(space)
+    for (a, b, c, e), back, d in skipped:
+        subs, splits, halves = sub_multisets(back), space.splittings(d), {}
+        sides = [wdvv_contraction(space, u, v, x, y, subs, splits, value, halves)
+                 for u, v, x, y in ((a, b, c, e), (a, c, b, e), (a, e, b, c))]
+        assert sides == [0, 0, 0], ((a, b, c, e), back, d)
+
+
+@pytest.mark.parametrize("space, d_max, n_marks_max", [
+    (ProductSpace(2, 4), 1, 5),
+    (ProductSpace(2, 3), 2, 6),
+], ids=["(P3)^2", "(P2)^2"])
+def test_wdvv_check_steps_each_key_once(monkeypatch, space, d_max, n_marks_max):
+    # a WDVV step never re-enters a key that is being computed, so no key is
+    # reconstructed twice
+    steps = Counter()
+    step = abelian_gw._wdvv_step
+
+    def counting(sp, ins, d, store, policy, hop):
+        steps[(d, ins)] += 1
+        return step(sp, ins, d, store, policy, hop)
+
+    monkeypatch.setattr(abelian_gw, "_wdvv_step", counting)
+    st = MemoStore()
+    assert check_wdvv(space, d_max, n_marks_max, st) == []
+    assert len(steps) > 20 and max(steps.values()) == 1
+    assert st.misses == len(st)

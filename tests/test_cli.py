@@ -119,6 +119,17 @@ def test_cache_malformed_entry(tmp_path, capsys):
     assert err.startswith("cache error: ") and err.count("\n") == 1
 
 
+def test_cache_wrong_closed_form_entry(tmp_path, capsys):
+    # a 3-mark entry that contradicts the product formula is a cache error
+    bad = tmp_path / "bad.cache"
+    bad.write_text(f"{MemoStore.VERSION}\n2,4|1,0|3.2;3.1;1.0\t7/1\n")
+    code = run_cli(["verify", "--k", "2", "--n", "4", "--suite", "martin",
+                    "--cache", str(bad)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("cache error: ") and "wrong entry" in err
+
+
 def test_verify_all_malformed_cache(tmp_path):
     bad = tmp_path / "bad.cache"
     bad.write_text(TRUNCATED_CACHE)
@@ -158,7 +169,7 @@ def test_five_point_symmetry_draws_pinned_sample():
     store = MemoStore()
     (report,) = run_suites(RunConfig(k=2, n=4, max_degree=2, suites=("five-point-symmetry",)), store)
     assert report.passed and report.instances == 50
-    assert store.stats() == {"entries": 3135, "hits": 19222, "misses": 3230}
+    assert store.stats() == {"entries": 301, "hits": 359, "misses": 301}
 
 
 def test_cache_roundtrip(tmp_path, capsys):

@@ -326,11 +326,11 @@ def test_mirror_reversion_synthetic():
 
 def test_bracket_cache_dies_with_store():
     # brackets computed on a clean store must not answer for a store that
-    # holds a wrong 3-point invariant
-    assert check_two_point(B24, 1, MemoStore()) == []
+    # holds a wrong 4-point invariant (3-point ones never come from a store)
+    assert naive_vs_corrected(B24, 1, MemoStore())["oracle_mismatches"] == []
     bad = MemoStore()
-    bad.put(MemoStore.parse_key_text("2,4|1,0|3.2;3.1;1.0"), Fraction(7))
-    assert len(check_two_point(B24, 1, bad)) == 1
+    bad.put(MemoStore.parse_key_text("2,4|1,0|3.0;2.3;2.0;1.0"), Fraction(2))  # truly 1
+    assert len(naive_vs_corrected(B24, 1, bad)["oracle_mismatches"]) == 1
 
 
 def test_assembled_wdvv(store):
