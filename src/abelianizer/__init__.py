@@ -2,7 +2,7 @@
 abelianization, cross-checked against products of projective spaces."""
 
 from .partitions import BoxSpec, Partition, box_partitions, complement, epsilon, lifts, rim_hook_reduce
-from .cohomology import PClass, ProductSpace, cup, integrate, lift, martin_integral, omega, schubert_cup
+from .cohomology import PClass, ProductSpace, cup, integrate, lift, martin_integral, schubert_cup
 from .abelian_gw import MemoStore, check_wdvv, gw_invariant, small_quantum_product, three_point, two_point
 from .grassmannian import ZSeries, j_function, quantum_cup
 from .correspondence import (
@@ -19,4 +19,4 @@ from .correspondence import (
 )
 from .jfunctions import ISeries, i_function, j_function_P, solve_c_coefficients
 
-__version__ = "0.3.2"
+__version__ = "0.4.0"

@@ -70,7 +70,7 @@ import threading
 from collections import Counter
 from fractions import Fraction
 
-from .cohomology import PClass, ProductSpace, c_squared, cup, integrate_rational
+from .cohomology import PClass, ProductSpace, cup, integrate
 
 Mono = tuple  # exponent vector of a basis monomial
 
@@ -103,7 +103,7 @@ class MemoStore:
     VERSION = "abelian-gw-cache v1"
 
     def __init__(self, path=None):
-        self.data: dict[tuple, Fraction] = {}
+        self.data: dict[tuple, int] = {}
         self.path = path
         self.hits = 0
         self.misses = 0
@@ -125,7 +125,7 @@ class MemoStore:
             self.hits += 1
         return val
 
-    def put(self, key, value: Fraction):
+    def put(self, key, value: int):
         with self._lock:
             old = self.data.get(key)
             if old is None:
@@ -237,7 +237,9 @@ class MemoStore:
                 value = values.get(val_text)
                 if value is None:
                     num, den = val_text.split("/")
-                    value = values[val_text] = Fraction(int(num), int(den))
+                    value = Fraction(int(num), int(den))
+                    # an integral value is kept as the int a computation stores
+                    value = values[val_text] = value.numerator if value.denominator == 1 else value
             except (ValueError, ZeroDivisionError):
                 raise CacheFormatError(f"{path}:{lineno}: malformed entry {line!r}") from None
             if len(key[3]) >= 3:
@@ -249,7 +251,7 @@ class MemoStore:
                     dropped = True
                     continue
             old = entries.setdefault(key, value)
-            # one Fraction per value text, so a repeat is the same object
+            # one value per value text, so a repeat is the same object
             if old is not value and old != value:
                 raise CacheFormatError(
                     f"{path}:{lineno}: conflicting entry: {key}: {old} earlier, {value} here")
@@ -289,7 +291,7 @@ def small_quantum_product(a: PClass, b: PClass) -> dict[tuple, PClass]:
 
     The ring is tensor_i Q[H_i, Q_i]/(H_i^n - Q_i): each exponent reduces as
     H_i^e = Q_i^(e // n) H_i^(e mod n).  Returns {multidegree: coefficient
-    class}; cgrades add and normalize.
+    class}.
     """
     if a.space != b.space:
         raise ValueError("mismatched spaces")
@@ -302,9 +304,8 @@ def small_quantum_product(a: PClass, b: PClass) -> dict[tuple, PClass]:
             q = tuple(x // n for x in e)
             r = tuple(x % n for x in e)
             bucket = acc.setdefault(q, {})
-            bucket[r] = bucket.get(r, Fraction(0)) + ca * cb
-    cg = a.cgrade + b.cgrade
-    return {q: PClass(space, terms, cg) for q, terms in acc.items() if any(terms.values())}
+            bucket[r] = bucket.get(r, 0) + ca * cb
+    return {q: PClass(space, terms) for q, terms in acc.items() if any(terms.values())}
 
 
 def three_point(a: PClass, b: PClass, c: PClass, d: tuple) -> Fraction:
@@ -315,7 +316,7 @@ def three_point(a: PClass, b: PClass, c: PClass, d: tuple) -> Fraction:
     coeff = small_quantum_product(a, b).get(d)
     if coeff is None:
         return Fraction(0)
-    return integrate_rational(cup(coeff, c))
+    return Fraction(integrate(cup(coeff, c)))
 
 
 def _pick_pivot(ins, policy: str):
@@ -357,14 +358,15 @@ def _mono_cup(a: Mono, b: Mono, n: int):
 def gw_invariant(space: ProductSpace, insertions, d, store: MemoStore, policy: str = "default") -> Fraction:
     """Genus-zero primary invariant of (P^{n-1})^k with basis-monomial insertions.
 
-    insertions may be exponent tuples or single-monomial cgrade-0 PClasses.
-    Values are exact and asserted integral (the metric is a permutation on
-    the monomial basis, so no denominators can survive).
+    insertions may be exponent tuples or single-monomial PClasses.  Values
+    are computed in int and asserted integral (the metric is a permutation
+    on the monomial basis, so no denominators can survive); the result is
+    handed out as a Fraction, like every rational value of the package.
     """
     monos = []
     for ins in insertions:
         if isinstance(ins, PClass):
-            if ins.cgrade != 0 or len(ins.terms) != 1:
+            if len(ins.terms) != 1:
                 raise ValueError("gw_invariant takes basis monomials; expand classes first")
             ((e, c),) = ins.terms.items()
             if c != 1:
@@ -372,16 +374,16 @@ def gw_invariant(space: ProductSpace, insertions, d, store: MemoStore, policy: s
             monos.append(e)
         else:
             monos.append(tuple(int(x) for x in ins))
-    return _gw(space, tuple(sorted(monos, reverse=True)), tuple(d), store, policy, None)
+    return Fraction(_gw(space, tuple(sorted(monos, reverse=True)), tuple(d), store, policy, None))
 
 
-def _gw(space, ins, d, store, policy, hop) -> Fraction:
+def _gw(space, ins, d, store, policy, hop) -> int:
     if min(d) < 0:
-        return _ZERO
+        return 0
     if len(ins) < 3:
         if any(d) and sum(map(sum, ins)) == virtual_dim(space, d, len(ins)):
             raise ValueError("invariants with fewer than 3 marks go through two_point")
-        return _ZERO  # off the dimension rule, or unstable at degree 0
+        return 0  # off the dimension rule, or unstable at degree 0
     closed = _closed_form(space.n, ins, d)
     if closed is not None:
         return closed
@@ -391,13 +393,13 @@ def _gw(space, ins, d, store, policy, hop) -> Fraction:
         return cached
 
     if any(sum(e) == 0 for e in ins):
-        value = _ZERO  # fundamental-class axiom; here d != 0, since m >= 4
+        value = 0  # fundamental-class axiom; here d != 0, since m >= 4
     else:
         div = next((e for e in ins if sum(e) == 1), None)
         if div is not None:
             i = div.index(1)
             rest = _remove_one(ins, div)
-            value = d[i] * _gw(space, rest, d, store, policy, None) if d[i] else _ZERO
+            value = d[i] * _gw(space, rest, d, store, policy, None) if d[i] else 0
         else:
             value = _wdvv_step(space, ins, d, store, policy, hop)
 
@@ -405,9 +407,6 @@ def _gw(space, ins, d, store, policy, hop) -> Fraction:
         raise ArithmeticError(f"non-integral invariant {value} for {key}")
     store.put(key, value)
     return value
-
-
-_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def kunneth_allows(n: int, marks, d, excess: int) -> bool:
@@ -431,8 +430,8 @@ def _closed_form(n: int, ins, d):
     gives it: 0 if kunneth_allows forbids it, else 1 at m = 3; None when it
     takes reconstruction."""
     if not kunneth_allows(n, ins, d, len(ins) - 3):
-        return _ZERO
-    return _ONE if len(ins) == 3 else None
+        return 0
+    return 1 if len(ins) == 3 else None
 
 
 def _remove_one(ins: tuple, item) -> tuple:
@@ -440,7 +439,7 @@ def _remove_one(ins: tuple, item) -> tuple:
     return ins[:idx] + ins[idx + 1 :]
 
 
-def _wdvv_step(space, ins, d, store, policy, hop) -> Fraction:
+def _wdvv_step(space, ins, d, store, policy, hop) -> int:
     n = space.n
     # hop: None, or (g', keys whose steps are in progress) from the hop term
     # of the step that called this one
@@ -449,7 +448,7 @@ def _wdvv_step(space, ins, d, store, policy, hop) -> Fraction:
     i, gprime, x1, others, hop_ins = _factoring(space, ins, dist, policy, chain)
     x2, back = others[0], tuple(others[1:])
 
-    total = Fraction(0)
+    total = 0
 
     if hop_ins is not None:
         total += _gw(space, hop_ins, d, store, policy, (gprime, chain))
@@ -498,7 +497,7 @@ def sub_multisets(back) -> list:
     return subs
 
 
-def wdvv_contraction(space, u, v, x, y, subs, splits, value, halves) -> Fraction:
+def wdvv_contraction(space, u, v, x, y, subs, splits, value, halves):
     """E(u, v | x, y) restricted to the degree splits (e, f) in splits.
 
     Sums w * value((u, v, mu) + S, e) * value((mu^dual, x, y) + T, f) over
@@ -513,7 +512,7 @@ def wdvv_contraction(space, u, v, x, y, subs, splits, value, halves) -> Fraction
     kept by the caller; the right factor is evaluated only where the left
     one is nonzero.
     """
-    total = Fraction(0)
+    total = 0
     for S, T, weight in subs:
         part = 0
         for e, f in splits:
@@ -595,10 +594,18 @@ def wdvv_identities(space, d_max: int, n_marks_max: int):
                     yield quad, back, d
 
 
+class Violations(list):
+    """The violations a WDVV check found; instances counts the identities
+    it drew from wdvv_identities, skipped ones included."""
+
+    instances = 0
+
+
 def wdvv_failures(space, identities, value):
     """Yield (quad, back, d, (E(a,b|c,e), E(a,c|b,e), E(a,e|b,c))) for every
     identity (quad, back, d) of identities, as wdvv_identities yields them,
-    whose three contractions disagree."""
+    whose three contractions disagree; the sides are handed out as
+    Fractions."""
     # local to this check: the half-contractions (see wdvv_contraction) that
     # every identity shares, and the sub-multisets of each background and
     # the splits of each degree, built once
@@ -616,7 +623,7 @@ def wdvv_failures(space, identities, value):
             wdvv_contraction(space, a, e, b, c, subs, splits, value, halves),
         )
         if sides[0] != sides[1] or sides[1] != sides[2]:
-            yield quad, back, d, sides
+            yield quad, back, d, tuple(map(Fraction, sides))
 
 
 def two_point(space: ProductSpace, a: Mono, b: Mono, d: tuple, store: MemoStore) -> Fraction:
@@ -626,45 +633,38 @@ def two_point(space: ProductSpace, a: Mono, b: Mono, d: tuple, store: MemoStore)
         raise ValueError("2-point invariants are classical at degree 0; not defined here")
     i = next(j for j, x in enumerate(d) if x > 0)
     ins = tuple(sorted((_unit_vec(space.k, i), tuple(a), tuple(b)), reverse=True))
-    return _gw(space, ins, d, store, "default", None) / d[i]
+    return Fraction(_gw(space, ins, d, store, "default", None), d[i])
 
 
-def gw_of_classes(space: ProductSpace, classes, d: tuple, store: MemoStore) -> Fraction:
-    """Multilinear extension of gw_invariant to PClass insertions.
-
-    The formal scalars c contract in pairs to the rational c^2.  For an odd
-    total cgrade the returned number is the coefficient of the dangling c;
-    it need not vanish per multidegree, only after summing over the lifts
-    of a curve class (the Weyl group permutes the lifts).  Two-mark
-    brackets route through the divisor axiom.
+def gw_of_classes(space: ProductSpace, classes, d: tuple, store: MemoStore):
+    """Multilinear extension of gw_invariant to PClass insertions, exact in
+    the classes' own coefficients (int for lifts and Delta).  Two-mark
+    brackets route through the divisor axiom (two_point).
     """
-    cg = sum(cls.cgrade for cls in classes)
-    scalar = c_squared(space.k) ** (cg // 2)
     d = tuple(d)
-    total = Fraction(0)
+    total = 0
     term_lists = [list(cls.terms.items()) for cls in classes]
     if any(not t for t in term_lists):
-        return Fraction(0)
+        return 0
     needed = virtual_dim(space, d, len(classes))
     for combo in itertools.product(*term_lists):
         monos = [e for e, _ in combo]
         if sum(sum(e) for e in monos) != needed:
             continue
-        coeff = Fraction(1)
-        for _, c in combo:
-            coeff *= c
+        coeff = math.prod([c for _, c in combo])
         if len(classes) == 2:
             if not any(d):
                 continue  # unstable; degree-0 two-point never contributes here
             total += coeff * two_point(space, monos[0], monos[1], d, store)
         else:
             total += coeff * _gw(space, tuple(sorted(monos, reverse=True)), d, store, "default", None)
-    return scalar * total
+    return total
 
 
 def check_wdvv(space: ProductSpace, d_total_max: int, n_marks_max: int, store: MemoStore) -> list[dict]:
     """Verify associativity constraints for all quadruples of basis monomials
-    with backgrounds and degrees within bounds.  Returns the violations.
+    with backgrounds and degrees within bounds.  Returns the violations, as
+    Violations.
 
     An identity with n_marks_max marks has factors of at most
     n_marks_max - 1 marks (see wdvv_identities), so this checks invariants
@@ -676,11 +676,14 @@ def check_wdvv(space: ProductSpace, d_total_max: int, n_marks_max: int, store: M
     def value(marks, d):
         return _gw(space, tuple(sorted(marks, reverse=True)), d, store, "default", None)
 
+    drawn = itertools.count()
     identities = (
-        (quad, back, d) for quad, back, d in wdvv_identities(space, d_total_max, n_marks_max)
+        (quad, back, d) for (quad, back, d), _ in zip(wdvv_identities(space, d_total_max, n_marks_max), drawn)
         if kunneth_allows(space.n, quad + back, d, len(back))
     )
-    return [
+    found = Violations(
         {"quad": quad, "background": back, "degree": d, "values": sides}
         for quad, back, d, sides in wdvv_failures(space, identities, value)
-    ]
+    )
+    found.instances = next(drawn)
+    return found

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .partitions import BoxSpec, Partition, box_partitions, multidegree_text, parse_partition
 from .cohomology import ProductSpace
-from .abelian_gw import CacheFormatError, MemoStore, admissible_tuples, check_wdvv, gw_invariant, wdvv_identities
+from .abelian_gw import CacheFormatError, MemoStore, admissible_tuples, check_wdvv, gw_invariant
 from . import grassmannian
 from .correspondence import (
     AssembledInvariants,
@@ -174,15 +174,13 @@ def _suite_five_point_symmetry(cfg: RunConfig, store: MemoStore, min_samples: in
 
 
 def _suite_wdvv_abelian(cfg: RunConfig, store: MemoStore):
-    space = cfg.space()
-    violations = check_wdvv(space, cfg.max_degree, cfg.max_insertions, store)
-    return sum(1 for _ in wdvv_identities(space, cfg.max_degree, cfg.max_insertions)), violations
+    violations = check_wdvv(cfg.space(), cfg.max_degree, cfg.max_insertions, store)
+    return violations.instances, violations
 
 
 def _suite_wdvv_grass(cfg: RunConfig, store: MemoStore):
-    box = cfg.box()
-    violations = assemble_and_check_wdvv(box, cfg.max_degree, cfg.max_insertions, store)
-    return sum(1 for _ in wdvv_identities(box, cfg.max_degree, cfg.max_insertions)), violations
+    violations = assemble_and_check_wdvv(cfg.box(), cfg.max_degree, cfg.max_insertions, store)
+    return violations.instances, violations
 
 
 def _suite_omega_trivial(cfg: RunConfig, store: MemoStore):

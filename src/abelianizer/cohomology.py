@@ -1,16 +1,17 @@
 """Cohomology of (P^{n-1})^k with its Weyl-group action.
 
-Classes are represented in the monomial basis of Q[H_1,...,H_k]/(H_i^n),
-with an extra formal scalar c tracking the square root in the fundamental
-anti-invariant class
+Classes are exact polynomials in the monomial basis of
+Q[H_1,...,H_k]/(H_i^n): integer coefficients wherever the class is
+integral (Schur lifts, the Vandermonde product Delta = prod_{i<j} (H_i - H_j)),
+rational ones only where a caller scales by a fraction.
 
-    omega = c * Delta,   Delta = prod_{i<j} (H_i - H_j),   c^2 = (-1)^binom(k,2) / k!.
-
-Even powers of c fold into rational coefficients, so a normalized class
-carries cgrade 0 or 1.  All arithmetic is exact.
+The fundamental anti-invariant class is omega = c * Delta with
+c^2 = (-1)^binom(k,2) / k!.  Nothing here carries c: every consumer of
+omega needs only c^2, and applies it once per result (martin_integral
+below, correspondence.i_bracket).
 
 The classical Schubert calculus of Gr(k, n) is derived from this ring via
-the integration formula of Martin: int_Gr sigma = int_P omega^2 * lift(sigma).
+the integration formula of Martin: int_Gr sigma = c^2 int_P Delta^2 * lift(sigma).
 """
 
 from __future__ import annotations
@@ -90,15 +91,15 @@ def c_squared(k: int) -> Fraction:
 
 
 class PClass:
-    """A cohomology class on (P^{n-1})^k with a c-grading.
+    """A cohomology class on (P^{n-1})^k.
 
-    terms maps exponent vectors (all entries < n) to Fractions; cgrade is
-    0 or 1.  Instances are treated as immutable.
+    terms maps exponent vectors (all entries < n) to exact nonzero
+    coefficients (int or Fraction).  Instances are treated as immutable.
     """
 
-    __slots__ = ("space", "terms", "cgrade")
+    __slots__ = ("space", "terms")
 
-    def __init__(self, space: ProductSpace, terms: dict = None, cgrade: int = 0):
+    def __init__(self, space: ProductSpace, terms: dict = None):
         self.space = space
         t = {}
         for e, c in (terms or {}).items():
@@ -107,97 +108,72 @@ class PClass:
                 raise ValueError(f"bad exponent vector {e}")
             if any(x >= space.n for x in e):
                 continue
-            c = Fraction(c)
             if c:
-                t[e] = t.get(e, Fraction(0)) + c
+                t[e] = t.get(e, 0) + c
         self.terms = {e: c for e, c in t.items() if c}
-        if cgrade < 0:
-            raise ValueError("cgrade must be nonnegative")
-        # fold even powers of c into the coefficients
-        if cgrade >= 2:
-            factor = c_squared(space.k) ** (cgrade // 2)
-            self.terms = {e: c * factor for e, c in self.terms.items()}
-            cgrade %= 2
-        self.cgrade = cgrade
 
     def __eq__(self, other):
-        return (
-            isinstance(other, PClass)
-            and self.space == other.space
-            and self.cgrade == other.cgrade
-            and self.terms == other.terms
-        )
+        return isinstance(other, PClass) and self.space == other.space and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.space, self.cgrade, tuple(sorted(self.terms.items()))))
+        return hash((self.space, tuple(sorted(self.terms.items()))))
 
     def __repr__(self):
         body = " + ".join(
             f"{c}*H^{e}" for e, c in sorted(self.terms.items())
         ) or "0"
-        return f"PClass({body}{', c' if self.cgrade else ''})"
+        return f"PClass({body})"
 
     def is_zero(self) -> bool:
         return not self.terms
 
 
 def unit(space: ProductSpace) -> PClass:
-    return PClass(space, {(0,) * space.k: Fraction(1)})
+    return PClass(space, {(0,) * space.k: 1})
 
 
 def variable(space: ProductSpace, i: int) -> PClass:
     """The hyperplane class H_i pulled back from factor i (0-based)."""
     e = [0] * space.k
     e[i] = 1
-    return PClass(space, {tuple(e): Fraction(1)})
+    return PClass(space, {tuple(e): 1})
 
 
 def monomial(space: ProductSpace, e: tuple[int, ...]) -> PClass:
-    return PClass(space, {tuple(e): Fraction(1)})
+    return PClass(space, {tuple(e): 1})
 
 
 def add(a: PClass, b: PClass) -> PClass:
-    if a.space != b.space or a.cgrade != b.cgrade:
-        raise ValueError("can only add classes of matching space and cgrade")
-    return PClass(a.space, sparse.add(a.terms, b.terms), a.cgrade)
+    if a.space != b.space:
+        raise ValueError("can only add classes of matching space")
+    return PClass(a.space, sparse.add(a.terms, b.terms))
 
 
 def scale(a: PClass, c) -> PClass:
-    return PClass(a.space, sparse.scale(a.terms, Fraction(c)), a.cgrade)
+    return PClass(a.space, sparse.scale(a.terms, c))
 
 
 def cup(a: PClass, b: PClass) -> PClass:
-    """Cup product; cgrades add and normalize through c^2."""
     if a.space != b.space:
         raise ValueError("cup product needs matching spaces")
-    return PClass(a.space, sparse.mul(a.terms, b.terms, a.space.n), a.cgrade + b.cgrade)
+    return PClass(a.space, sparse.mul(a.terms, b.terms, a.space.n))
 
 
-def integrate(a: PClass) -> tuple[Fraction, int]:
-    """Push-forward to a point: the coefficient of prod_i H_i^{n-1},
-    together with the residual cgrade."""
-    return (a.terms.get(a.space.top, Fraction(0)), a.cgrade)
-
-
-def integrate_rational(a: PClass) -> Fraction:
-    """Integrate, insisting on a rational (cgrade-0) outcome."""
-    val, cg = integrate(a)
-    if cg and val:
-        raise ValueError("integral has odd cgrade; no rational value")
-    return val if not cg else Fraction(0)
+def integrate(a: PClass):
+    """Push-forward to a point: the coefficient of prod_i H_i^{n-1}."""
+    return a.terms.get(a.space.top, 0)
 
 
 def weyl_action(perm: tuple[int, ...], a: PClass) -> PClass:
-    """Permute the H_i.  The scalar c is Weyl-invariant, so the sign
-    character of anti-invariant classes comes entirely from the
-    Vandermonde part (a transposition sends omega to -omega)."""
+    """Permute the H_i.  A transposition sends Delta, and so omega, to
+    its negative (c is Weyl-invariant)."""
     k = a.space.k
     terms = {tuple(e[perm[i]] for i in range(k)): c for e, c in a.terms.items()}
-    return PClass(a.space, terms, a.cgrade)
+    return PClass(a.space, terms)
 
 
 def delta(space: ProductSpace) -> PClass:
-    """The Vandermonde product prod_{i<j} (H_i - H_j), cgrade 0."""
+    """The Vandermonde product prod_{i<j} (H_i - H_j)."""
     out = unit(space)
     for root in root_classes(space):
         out = cup(out, root)
@@ -212,29 +188,22 @@ def root_classes(space: ProductSpace) -> list[PClass]:
             ei, ej = [0] * space.k, [0] * space.k
             ei[i] = 1
             ej[j] = 1
-            out.append(PClass(space, {tuple(ei): Fraction(1), tuple(ej): Fraction(-1)}))
+            out.append(PClass(space, {tuple(ei): 1, tuple(ej): -1}))
     return out
 
 
-def omega(box: BoxSpec) -> PClass:
-    """The fundamental Weyl-anti-invariant class c * Delta, cgrade 1."""
-    space = space_of(box)
-    d = delta(space)
-    return PClass(space, d.terms, 1)
-
-
 def lift(lam: Partition, box: BoxSpec) -> PClass:
-    """Schur lift of a Schubert class: S_lam(H_1, ..., H_k), cgrade 0."""
+    """Schur lift of a Schubert class: S_lam(H_1, ..., H_k)."""
     if not lam.fits(box):
         raise ValueError(f"{lam} does not fit {box.k}x{box.cols} box")
-    poly = schur_polynomial(lam, box.k)
-    return PClass(space_of(box), {e: Fraction(c) for e, c in poly.items()})
+    return PClass(space_of(box), schur_polynomial(lam, box.k))
 
 
 def martin_integral(a: PClass, box: BoxSpec) -> Fraction:
-    """int_P omega^2 * a, which computes int_Gr of the class a lifts."""
-    om = omega(box)
-    return integrate_rational(cup(cup(om, om), a))
+    """int_P omega^2 * a = c^2 int_P Delta^2 * a, which computes int_Gr of
+    the class a lifts."""
+    dl = delta(space_of(box))
+    return c_squared(box.k) * integrate(cup(cup(dl, dl), a))
 
 
 def schubert_cup(lam: Partition, mu: Partition, box: BoxSpec) -> dict[Partition, Fraction]:
@@ -256,48 +225,37 @@ def schubert_cup(lam: Partition, mu: Partition, box: BoxSpec) -> dict[Partition,
 
 
 def antisymmetrize(a: PClass) -> PClass:
-    """Sum of sign(w) * w(.) over the Weyl group, applied to the rational
-    part of a (no 1/k! normalization); the cgrade is carried along."""
+    """Sum of sign(w) * w(a) over the Weyl group (no 1/k! normalization)."""
     out = {}
     for perm in itertools.permutations(range(a.space.k)):
         sgn = _perm_sign(perm)
         for e, c in a.terms.items():
             sparse.add_term(out, tuple(e[i] for i in perm), sgn * c)
-    return PClass(a.space, out, a.cgrade)
+    return PClass(a.space, out)
 
 
-def divide_by_omega(phi: PClass, box: BoxSpec) -> dict[Partition, Fraction]:
-    """Invert cup-by-omega on anti-invariant classes.
+def divide_by_delta(phi: PClass, box: BoxSpec) -> dict:
+    """Invert cup-by-Delta on anti-invariant classes.
 
-    A cgrade-1 anti-invariant class is c times a linear combination of the
-    bialternants S_lam * Delta, lam in the box.  In the monomial basis the
-    coefficient of S_lam * Delta is read off the strictly decreasing
-    exponent vector lam + (k-1, k-2, ..., 0); the expansion is then checked
-    by exact reconstruction.  Raises ValueError when phi is not in the span.
+    An anti-invariant class is a linear combination of the bialternants
+    S_lam * Delta, lam in the box.  In the monomial basis the coefficient
+    of S_lam * Delta is read off the strictly decreasing exponent vector
+    lam + (k-1, k-2, ..., 0); the expansion is then checked by exact
+    reconstruction.  Raises ValueError when phi is not in the span.
     """
-    if phi.cgrade != 1:
-        raise ValueError("divide_by_omega expects a cgrade-1 class")
     space = space_of(box)
     k = box.k
     staircase = tuple(range(k - 1, -1, -1))
     coeffs = {}
     for lam in box_partitions(box):
         e = tuple(lam.padded(k)[i] + staircase[i] for i in range(k))
-        c = phi.terms.get(e, Fraction(0))
+        c = phi.terms.get(e, 0)
         if c:
             coeffs[lam] = c
-    recon = PClass(space, {}, 0)
+    recon = PClass(space)
     d = delta(space)
     for lam, c in coeffs.items():
         recon = add(recon, scale(cup(lift(lam, box), d), c))
     if recon.terms != phi.terms:
-        raise ValueError("class is not in the span of {S_lam * omega}")
+        raise ValueError("class is not in the span of {S_lam * Delta}")
     return coeffs
-
-
-def pclass_records(a: PClass) -> list[tuple]:
-    """Stable serialization: (exponents, numerator, denominator, cgrade)."""
-    return [
-        (list(e), c.numerator, c.denominator, a.cgrade)
-        for e, c in sorted(a.terms.items())
-    ]

@@ -7,10 +7,10 @@ the product of projective spaces.  The basic object is the bracket
                              of <g_1, ..., g_n> on (P^{n-1})^k,
 
 with insertions drawn from Schur lifts, Schur lifts cupped with omega, and
-omega itself.  Three-point Grassmannian invariants equal a single bracket;
-every further insertion is produced by differentiating that identity in a
-horizontal frame, which replaces covariant-derivative insertions by a
-contraction
+omega itself, where omega = c * Delta (see cohomology).  Three-point
+Grassmannian invariants equal a single bracket; every further insertion is
+produced by differentiating that identity in a horizontal frame, which
+replaces covariant-derivative insertions by a contraction
 
     grad_{xi} xi' = - sum_a <<xi, xi', omega, lift(a) omega>> xi_{a^vee}
 
@@ -31,17 +31,19 @@ from .partitions import BoxSpec, Partition, box_partitions, complement, epsilon,
 from .cohomology import (
     PClass,
     add as cls_add,
+    c_squared,
     cup,
     delta,
     lift,
     martin_integral,
-    omega,
     root_classes,
     scale as cls_scale,
     space_of,
+    unit,
 )
 from .abelian_gw import (
     MemoStore,
+    Violations,
     admissible_tuples,
     gw_of_classes,
     small_quantum_product,
@@ -57,13 +59,12 @@ from .sparse import add, mul, scale
 
 @dataclass(frozen=True)
 class Insertion:
-    """A bracket insertion: kind 'lift' | 'lift_omega' | 'omega'."""
+    """A bracket insertion: kind 'lift' (a Schur lift), 'lift_omega' (a lift
+    cupped with omega) or 'omega'.  Its class (_realize) carries Delta in
+    place of omega; i_bracket supplies the scalars c."""
 
     kind: str
     lam: Partition = None
-
-    def cgrade(self) -> int:
-        return 0 if self.kind == "lift" else 1
 
     def __repr__(self):
         if self.kind == "lift":
@@ -88,19 +89,19 @@ def _realize(ins: Insertion, box: BoxSpec) -> PClass:
     if ins.kind == "lift":
         return lift(ins.lam, box)
     if ins.kind == "omega":
-        return omega(box)
+        return delta(space_of(box))
     if ins.kind == "lift_omega":
-        return cup(lift(ins.lam, box), omega(box))
+        return cup(lift(ins.lam, box), delta(space_of(box)))
     raise ValueError(f"unknown insertion kind {ins.kind!r}")
 
 
 def i_bracket(insertions, d: int, box: BoxSpec, store: MemoStore, eps_off: bool = False) -> Fraction:
     """The signed lifted bracket I_{n,d} over all multidegree lifts of d.
 
-    The two formal square-root scalars carried by the cgrade-1 insertions
-    contract to the rational c^2; brackets with odd total cgrade vanish by
-    Weyl anti-invariance (checked, not assumed).  eps_off drops the
-    (-1)^((k-1)d) prefactor: the negative control for sign tests.
+    Each omega insertion enters as Delta, and the bracket is multiplied
+    once by c^2 per pair of them.  A bracket with an odd number of omegas
+    vanishes by Weyl anti-invariance (checked, not assumed).  eps_off drops
+    the (-1)^((k-1)d) prefactor: the negative control for sign tests.
     """
     ins = tuple(sorted(insertions, key=repr))
     key = (box, ins, d, eps_off)
@@ -108,17 +109,18 @@ def i_bracket(insertions, d: int, box: BoxSpec, store: MemoStore, eps_off: bool 
         return store.brackets[key]
     space = space_of(box)
     classes = [_realize(i, box) for i in ins]
-    total = Fraction(0)
+    total = 0
     for dd in lifts(d, box.k):
         total += gw_of_classes(space, classes, dd, store)
-    if sum(i.cgrade() for i in ins) % 2:
-        # Weyl anti-invariance kills the lift-summed odd-cgrade bracket
+    omegas = sum(i.kind != "lift" for i in ins)
+    if omegas % 2:
+        # Weyl anti-invariance kills the lift-summed bracket of an odd number of omegas
         if total:
-            raise ArithmeticError(f"parity violation: odd-cgrade bracket {ins} at d={d} is {total}")
+            raise ArithmeticError(f"parity violation: odd-omega bracket {ins} at d={d} is {total}")
         value = Fraction(0)
     else:
         sign = 1 if eps_off else (-1) ** epsilon(d, box.k)
-        value = sign * total
+        value = sign * c_squared(box.k) ** (omegas // 2) * total
     store.brackets[key] = value
     return value
 
@@ -372,8 +374,7 @@ def check_omega_triviality(box: BoxSpec, d_max: int) -> list[dict]:
     roots = root_classes(space)
     for r in range(len(roots) + 1):
         for picked in itertools.combinations(range(len(roots)), r):
-            a = PClass(space, {(0,) * space.k: Fraction(1)})
-            b = PClass(space, {(0,) * space.k: Fraction(1)})
+            a = b = unit(space)
             for i, root in enumerate(roots):
                 if i in picked:
                     a = cup(a, root)
@@ -538,13 +539,18 @@ def assemble_and_check_wdvv(box: BoxSpec, d_max: int, l_max: int, store: MemoSto
                             corrupt_epsilon: bool = False) -> list[dict]:
     """Associativity constraints for the assembled Grassmannian invariants,
     for all quadruples of Schubert classes, backgrounds and degrees with at
-    most l_max marks and degree at most d_max.  Returns violations.
+    most l_max marks and degree at most d_max.  Returns the violations, as
+    Violations.
 
     The factors of an identity have at most l_max - 1 marks (see
     wdvv_identities), so no l_max-point invariant is tested here.
     """
     inv = AssembledInvariants(box, store, corrupt_epsilon)
-    return [
+    drawn = itertools.count()
+    identities = (identity for identity, _ in zip(wdvv_identities(box, d_max, l_max), drawn))
+    found = Violations(
         {"quad": quad, "background": back, "d": d, "values": sides}
-        for quad, back, d, sides in wdvv_failures(box, wdvv_identities(box, d_max, l_max), inv.value)
-    ]
+        for quad, back, d, sides in wdvv_failures(box, identities, inv.value)
+    )
+    found.instances = next(drawn)
+    return found

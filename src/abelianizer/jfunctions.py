@@ -21,7 +21,7 @@ from .cohomology import (
     c_squared,
     cup,
     delta,
-    divide_by_omega,
+    divide_by_delta,
     lift,
     space_of,
 )
@@ -242,7 +242,7 @@ def solve_c_coefficients(iseries: ISeries, fund: FundamentalSolution, box: BoxSp
         expanded: dict[Partition, dict[int, Fraction]] = {}
         for zp, poly in known.items():
             try:
-                row = divide_by_omega(PClass(space, poly, 1), box)
+                row = divide_by_delta(PClass(space, poly), box)
             except ValueError:
                 residual.append({"d": d, "z": zp, "value": "not anti-invariant"})
                 continue

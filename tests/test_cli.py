@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -38,6 +39,25 @@ def test_invariant_dimension_violating_zero(capsys):
                     "--parts", "[1];[1];[1]", "--d", "0"])
     out = json.loads(capsys.readouterr().out)
     assert code == 0 and out["value"] == "0/1"
+
+
+# sha256 of each command's stdout, recorded at version 0.3.2: the numbers
+# leave the package as Fractions, so a value handed out as an int would print
+# 0 in place of 0/1 and change the digest
+@pytest.mark.parametrize("argv, digest", [
+    ("table --k 2 --n 2 --side abelian --max-degree 1 --format csv",
+     "17190dbe010f4cf8efe96db82b21e693359011bd52c8fff5edb4d4a315e9ef44"),
+    ("table --k 2 --n 3 --side abelian --max-degree 2 --max-insertions 5 --format csv",
+     "b7a4e2fa7db0681ca54e63939a81abe82a137131e29ad79e9740e211ff214a5e"),
+    ("table --k 2 --n 4 --max-degree 2 --max-insertions 4 --format csv",
+     "a43c1a338aa96ec9780e00ed41ad1db4cddf74573e20888fbf355d91920eee9b"),
+    ("invariant --k 2 --n 4 --parts [2,1];[2,1];[2,1];[2,2] --d 2",
+     "deb935f7641557edba1d0640314df06d23d6836fac29fd14cc9e7246770aa96f"),
+], ids=["abelian-2-2", "abelian-2-3", "grass-2-4", "invariant-2-4"])
+def test_cli_output_pinned(argv, digest, capsys, monkeypatch):
+    monkeypatch.delenv("ABELIANIZER_CACHE", raising=False)
+    assert run_cli(argv.split()) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_invariant_usage_error_out_of_box():

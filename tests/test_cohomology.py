@@ -13,20 +13,17 @@ from abelianizer.cohomology import (
     c_squared,
     cup,
     delta,
-    divide_by_omega,
+    divide_by_delta,
     integrate,
-    integrate_rational,
     lift,
     martin_integral,
     monomial,
-    omega,
     scale,
     schubert_cup,
     space_of,
     unit,
     variable,
     weyl_action,
-    pclass_records,
 )
 
 
@@ -50,21 +47,20 @@ def test_cup_root_square():
 
 
 def test_omega_squared_is_c2_delta_squared():
-    box = BoxSpec(2, 4)
-    om = omega(box)
-    om2 = cup(om, om)
+    # omega = c * Delta, so omega^2 is the rational class c^2 * Delta^2
     dl2 = cup(delta(S24), delta(S24))
-    assert om2.cgrade == 0
+    om2 = scale(dl2, c_squared(2))
     assert om2 == scale(dl2, Fraction(-1, 2))
 
 
 def test_omega_examples():
-    assert omega(BoxSpec(2, 4)).terms == {(1, 0): 1, (0, 1): -1}
-    assert omega(BoxSpec(2, 4)).cgrade == 1
-    om1 = omega(BoxSpec(1, 5))
+    # omega = c * Delta: Delta and c^2 for k = 1, 2, 3
+    assert delta(S24).terms == {(1, 0): 1, (0, 1): -1}
+    assert c_squared(2) == Fraction(-1, 2)
+    om1 = delta(ProductSpace(1, 5))
     assert om1.terms == {(0,): 1} and c_squared(1) == 1
-    om36 = omega(BoxSpec(3, 6))
     space36 = space_of(BoxSpec(3, 6))
+    om36 = delta(space36)
     want = cup(cup(
         add(variable(space36, 0), scale(variable(space36, 1), -1)),
         add(variable(space36, 0), scale(variable(space36, 2), -1))),
@@ -75,24 +71,18 @@ def test_omega_examples():
 
 def test_integrate_examples():
     top = monomial(S24, (3, 3))
-    assert integrate(top) == (Fraction(1), 0)
+    assert integrate(top) == 1
     box = BoxSpec(2, 4)
     val = martin_integral(lift(P(2, 2), box), box)
     assert val == 1
-    assert integrate(variable(S24, 0)) == (Fraction(0), 0)
-
-
-def test_integrate_rational_rejects_odd_cgrade():
-    phi = PClass(S24, {(3, 3): Fraction(1)}, 1)
-    with pytest.raises(ValueError):
-        integrate_rational(phi)
+    assert integrate(variable(S24, 0)) == 0
 
 
 def test_weyl_action():
     h1 = variable(S24, 0)
     swapped = weyl_action((1, 0), h1)
     assert swapped == variable(S24, 1)
-    om = omega(BoxSpec(2, 4))
+    om = delta(S24)
     assert weyl_action((1, 0), om) == scale(om, -1)
     assert weyl_action((0, 1), om) == om
 
@@ -133,12 +123,12 @@ def test_martin_orthogonality(box):
 
 
 def test_lifting_multiplicativity():
-    # lift(sigma_lam * sigma_mu) cup omega == lift(lam) cup lift(mu) cup omega
+    # lift(sigma_lam * sigma_mu) cup Delta == lift(lam) cup lift(mu) cup Delta
     box = BoxSpec(2, 4)
-    om = omega(box)
+    om = delta(S24)
     for lam, mu in itertools.combinations_with_replacement(box_partitions(box), 2):
         vec = schubert_cup(lam, mu, box)
-        lhs = PClass(S24, {}, 1)
+        lhs = PClass(S24)
         for nu, c in vec.items():
             lhs = add(lhs, scale(cup(lift(nu, box), om), c))
         rhs = cup(cup(lift(lam, box), lift(mu, box)), om)
@@ -147,28 +137,28 @@ def test_lifting_multiplicativity():
 
 def test_divide_by_omega_examples():
     box = BoxSpec(2, 4)
-    om = omega(box)
-    assert divide_by_omega(om, box) == {P(): 1}
-    assert divide_by_omega(cup(lift(P(1), box), om), box) == {P(1): 1}
-    assert divide_by_omega(PClass(S24, {}, 1), box) == {}
+    om = delta(S24)
+    assert divide_by_delta(om, box) == {P(): 1}
+    assert divide_by_delta(cup(lift(P(1), box), om), box) == {P(1): 1}
+    assert divide_by_delta(PClass(S24), box) == {}
     with pytest.raises(ValueError):
-        divide_by_omega(PClass(S24, {(1, 0): Fraction(1)}, 1), box)
+        divide_by_delta(PClass(S24, {(1, 0): Fraction(1)}), box)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_divide_by_omega_inverts_cup(data):
     box = BoxSpec(2, 4)
-    om = omega(box)
+    om = delta(S24)
     coeffs = {
         lam: Fraction(data.draw(st.integers(-4, 4)))
         for lam in box_partitions(box)
         if data.draw(st.booleans())
     }
-    phi = PClass(S24, {}, 1)
+    phi = PClass(S24)
     for lam, c in coeffs.items():
         phi = add(phi, scale(cup(lift(lam, box), om), c))
-    got = divide_by_omega(phi, box)
+    got = divide_by_delta(phi, box)
     assert got == {lam: c for lam, c in coeffs.items() if c}
 
 
@@ -183,26 +173,21 @@ def test_antisymmetrization_lands_in_omega_span(data):
     a = PClass(S24, terms)
     anti = antisymmetrize(a)
     # expansion must succeed for any antisymmetrized class
-    divide_by_omega(PClass(S24, anti.terms, 1), box)
+    divide_by_delta(anti, box)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_cup_commutative_associative(data):
-    def rand_class(cg):
+    def rand_class():
         terms = {}
         for _ in range(data.draw(st.integers(1, 3))):
             e = (data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3)))
             terms[e] = Fraction(data.draw(st.integers(-3, 3)))
-        return PClass(S24, terms, cg)
+        return PClass(S24, terms)
 
-    a = rand_class(data.draw(st.integers(0, 1)))
-    b = rand_class(data.draw(st.integers(0, 1)))
-    c = rand_class(data.draw(st.integers(0, 1)))
+    a = rand_class()
+    b = rand_class()
+    c = rand_class()
     assert cup(a, b) == cup(b, a)
     assert cup(cup(a, b), c) == cup(a, cup(b, c))
-
-
-def test_serialization_records():
-    om = omega(BoxSpec(2, 4))
-    assert pclass_records(om) == [([0, 1], -1, 1, 1), ([1, 0], 1, 1, 1)]

@@ -74,7 +74,7 @@ def test_tree_contains_lower_tree():
 
 def test_every_bracket_has_two_omega_insertions():
     # structural parity invariant: each bracket factor carries exactly two
-    # cgrade-1 insertions, for every arity
+    # omega insertions, for every arity
     for l in range(3, 8):
         for _, brackets, _ in generate_formula(l).groups:
             for br in brackets:
@@ -113,7 +113,7 @@ def test_i_bracket_degree_zero_is_martin(store):
 
 
 def test_i_bracket_weyl_vanishing(store):
-    # exactly one cgrade-1 insertion forces zero (3- and 4-point shapes)
+    # exactly one omega insertion forces zero (3- and 4-point shapes)
     parts = box_partitions(B24)
     checked = 0
     for d in (0, 1, 2):

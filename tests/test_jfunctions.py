@@ -7,7 +7,7 @@ from abelianizer.cohomology import (
     PClass,
     cup,
     delta,
-    divide_by_omega,
+    divide_by_delta,
     lift,
     space_of,
 )
@@ -149,9 +149,9 @@ def test_anti_invariant_expand_roundtrip():
         cup(lift(P(2, 1), B24), dl).terms,
         scale(cup(lift(P(1), B24), dl).terms, Fraction(-3, 2)),
     )
-    assert divide_by_omega(PClass(space, poly, 1), B24) == {P(2, 1): 1, P(1): Fraction(-3, 2)}
+    assert divide_by_delta(PClass(space, poly), B24) == {P(2, 1): 1, P(1): Fraction(-3, 2)}
     with pytest.raises(ValueError):
-        divide_by_omega(PClass(space, {(1, 0): Fraction(1)}, 1), B24)
+        divide_by_delta(PClass(space, {(1, 0): Fraction(1)}), B24)
 
 
 @pytest.mark.parametrize("kn", [(2, 4), (2, 5)])
