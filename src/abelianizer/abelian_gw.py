@@ -218,8 +218,9 @@ class MemoStore:
         the next save then rewrites the file without it.
 
         Raises CacheVersionError on a wrong header, and CacheFormatError on a
-        malformed entry, on one that contradicts the product formula, another
-        entry or this store; the store is then unchanged.
+        malformed entry, on a non-integral value, and on an entry that
+        contradicts the product formula, another entry or this store; the
+        store is then unchanged.
         """
         path = path or self.path
         with open(path) as fh:
@@ -238,8 +239,11 @@ class MemoStore:
                 if value is None:
                     num, den = val_text.split("/")
                     value = Fraction(int(num), int(den))
-                    # an integral value is kept as the int a computation stores
-                    value = values[val_text] = value.numerator if value.denominator == 1 else value
+                    # every invariant of (P^{n-1})^k is an integer, kept as
+                    # the int a computation stores
+                    if value.denominator != 1:
+                        raise CacheFormatError(f"{path}:{lineno}: non-integral value {line!r}")
+                    value = values[val_text] = value.numerator
             except (ValueError, ZeroDivisionError):
                 raise CacheFormatError(f"{path}:{lineno}: malformed entry {line!r}") from None
             if len(key[3]) >= 3:

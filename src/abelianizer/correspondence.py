@@ -6,8 +6,9 @@ the product of projective spaces.  The basic object is the bracket
     I_{n,d}(g_1, ..., g_n) = (-1)^((k-1)d) * sum over multidegree lifts of d
                              of <g_1, ..., g_n> on (P^{n-1})^k,
 
-with insertions drawn from Schur lifts, Schur lifts cupped with omega, and
-omega itself, where omega = c * Delta (see cohomology).  Three-point
+with insertions of two kinds: Schur lifts, and Schur lifts cupped with
+omega, where omega = c * Delta (see cohomology).  omega itself is the
+second kind with the empty partition, since S_[] = 1.  Three-point
 Grassmannian invariants equal a single bracket; every further insertion is
 produced by differentiating that identity in a horizontal frame, which
 replaces covariant-derivative insertions by a contraction
@@ -25,6 +26,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import grassmannian
 from .partitions import BoxSpec, Partition, box_partitions, complement, epsilon, grlex_key, lifts
@@ -57,42 +59,25 @@ from .sparse import add, mul, scale
 # ---------------------------------------------------------------------------
 # concrete insertions and the signed lifted bracket
 
-@dataclass(frozen=True)
-class Insertion:
-    """A bracket insertion: kind 'lift' (a Schur lift), 'lift_omega' (a lift
-    cupped with omega) or 'omega'.  Its class (_realize) carries Delta in
-    place of omega; i_bracket supplies the scalars c."""
+class Insertion(NamedTuple):
+    """A bracket insertion: the Schur lift of lam, cupped with omega when
+    omega is set.  omega alone is the lift of the empty partition times
+    omega, since S_[] = 1.  i_bracket realizes omega as Delta and supplies
+    the scalars c."""
 
-    kind: str
-    lam: Partition = None
-
-    def __repr__(self):
-        if self.kind == "lift":
-            return f"s~{self.lam}"
-        if self.kind == "lift_omega":
-            return f"s~{self.lam}.w"
-        return "w"
+    lam: Partition
+    omega: bool
 
 
 def Lifted(lam) -> Insertion:
-    return Insertion("lift", lam if isinstance(lam, Partition) else Partition(lam))
+    return Insertion(lam if isinstance(lam, Partition) else Partition(lam), False)
 
 
 def LiftedTimesOmega(lam) -> Insertion:
-    return Insertion("lift_omega", lam if isinstance(lam, Partition) else Partition(lam))
+    return Insertion(lam if isinstance(lam, Partition) else Partition(lam), True)
 
 
-OMEGA = Insertion("omega")
-
-
-def _realize(ins: Insertion, box: BoxSpec) -> PClass:
-    if ins.kind == "lift":
-        return lift(ins.lam, box)
-    if ins.kind == "omega":
-        return delta(space_of(box))
-    if ins.kind == "lift_omega":
-        return cup(lift(ins.lam, box), delta(space_of(box)))
-    raise ValueError(f"unknown insertion kind {ins.kind!r}")
+OMEGA = LiftedTimesOmega(Partition())
 
 
 def i_bracket(insertions, d: int, box: BoxSpec, store: MemoStore, eps_off: bool = False) -> Fraction:
@@ -103,16 +88,18 @@ def i_bracket(insertions, d: int, box: BoxSpec, store: MemoStore, eps_off: bool 
     vanishes by Weyl anti-invariance (checked, not assumed).  eps_off drops
     the (-1)^((k-1)d) prefactor: the negative control for sign tests.
     """
-    ins = tuple(sorted(insertions, key=repr))
+    ins = tuple(sorted(insertions, key=lambda i: (i.lam.parts, i.omega)))
     key = (box, ins, d, eps_off)
-    if key in store.brackets:
-        return store.brackets[key]
+    value = store.brackets.get(key)
+    if value is not None:
+        return value
     space = space_of(box)
-    classes = [_realize(i, box) for i in ins]
+    omegas = sum(i.omega for i in ins)
+    dl = delta(space) if omegas else None
+    classes = [cup(lift(i.lam, box), dl) if i.omega else lift(i.lam, box) for i in ins]
     total = 0
     for dd in lifts(d, box.k):
         total += gw_of_classes(space, classes, dd, store)
-    omegas = sum(i.kind != "lift" for i in ins)
     if omegas % 2:
         # Weyl anti-invariance kills the lift-summed bracket of an odd number of omegas
         if total:
@@ -239,10 +226,10 @@ def evaluate_formula(tree: FormulaTree, partitions, d: int, box: BoxSpec,
     for sign, brackets, nc in tree.groups:
         comps = lifts(d, len(brackets))
         for assign in itertools.product(basis, repeat=nc):
+            realized = [[_realize_symbolic(s, parts, assign, box) for s in br] for br in brackets]
             for comp in comps:
                 prod = Fraction(sign)
-                for br, e in zip(brackets, comp):
-                    ins = [_realize_symbolic(s, parts, assign, box) for s in br]
+                for ins, e in zip(realized, comp):
                     v = i_bracket(ins, e, box, store, eps_off)
                     if not v:
                         prod = Fraction(0)

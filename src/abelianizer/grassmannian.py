@@ -72,13 +72,14 @@ class QSchubertVector:
         return " + ".join(bits) or "0"
 
 
-def quantum_cup(lam: Partition, mu: Partition, box: BoxSpec) -> QSchubertVector:
-    """Small quantum product sigma_lam * sigma_mu via rim-hook reduction."""
+def quantum_cup(lam: Partition, mu: Partition, box: BoxSpec, rule: str = None) -> QSchubertVector:
+    """Small quantum product sigma_lam * sigma_mu via rim-hook reduction;
+    rule is rim_hook_reduce's per-hook sign rule."""
     if not (lam.fits(box) and mu.fits(box)):
         raise ValueError("partitions must fit the box")
     terms: dict[tuple, Fraction] = {}
     for nu, c in schur_expand_product(lam, mu, box.k).items():
-        sign, q_power, reduced = rim_hook_reduce(nu, box)
+        sign, q_power, reduced = rim_hook_reduce(nu, box, rule=rule)
         if reduced is None:
             continue
         add_term(terms, (q_power, reduced), sign * c)
@@ -114,12 +115,7 @@ def calibrate_rim_hook_sign(d_max: int = 2) -> dict[str, bool]:
         for box in (BoxSpec(2, 4), BoxSpec(2, 5)):
             parts = box_partitions(box)
             for lam, mu in itertools.combinations_with_replacement(parts, 2):
-                terms = {}
-                for nu, c in schur_expand_product(lam, mu, box.k).items():
-                    sign, q_power, reduced = rim_hook_reduce(nu, box, rule=rule)
-                    if reduced is None:
-                        continue
-                    add_term(terms, (q_power, reduced), sign * c)
+                terms = quantum_cup(lam, mu, box, rule).terms
                 if any(v < 0 for (q, _), v in terms.items() if q <= d_max):
                     ok = False
                     break

@@ -338,6 +338,18 @@ def test_memo_store_checks_closed_form_entries(tmp_path, entry):
         MemoStore().load(path)
 
 
+def test_memo_store_rejects_non_integral_value(tmp_path):
+    # every invariant of (P^{n-1})^k is an integer; this one is truly 1
+    path = tmp_path / "bad.txt"
+    path.write_text(f"{MemoStore.VERSION}\n2,2|1,2|1.1;1.1;1.1;1.1;1.1\t1/1\n"
+                    "2,4|1,0|3.0;2.3;2.0;1.0\t3/2\n")
+    st = MemoStore()
+    with pytest.raises(CacheFormatError, match=":3: non-integral value"):
+        st.load(path)
+    assert st.data == {}
+    assert gw_invariant(ProductSpace(2, 4), [(3, 0), (2, 3), (2, 0), (1, 0)], (1, 0), st) == 1
+
+
 def test_memo_store_loads_closed_form_entries_without_keeping_them(tmp_path):
     # a file written before the Kunneth filter holds every key the engine
     # evaluated, 3-mark and forbidden ones too: it loads, each such entry
@@ -392,18 +404,18 @@ def test_memo_store_save_is_atomic(tmp_path, monkeypatch):
 
 
 # entries that load keeps: none of three or more marks that the product
-# formula settles (the 2-mark entry only exercises the number format)
+# formula settles (the 2-mark entry only exercises a negative value)
 GOLDEN_ENTRIES = [
     ((2, 2, (1, 2), ((1, 1),) * 5), Fraction(1)),
     ((2, 2, (1, 2), ((1, 1),) * 5 + ((1, 0),)), Fraction(1)),
     ((2, 2, (1, 1), ((1, 1),) * 4 + ((0, 0),)), Fraction(0)),
     ((1, 3, (3,), ((2,),) * 8), Fraction(12)),
-    ((1, 3, (10,), ((2,), (1,))), Fraction(-3, 2)),
+    ((1, 3, (10,), ((2,), (1,))), Fraction(-3)),
     ((2, 4, (1, 0), ((3, 0), (2, 3), (2, 0), (1, 0))), Fraction(1)),
 ]
 GOLDEN_TEXT = (
     "abelian-gw-cache v1\n"
-    "1,3|10|2;1\t-3/2\n"
+    "1,3|10|2;1\t-3/1\n"
     "1,3|3|2;2;2;2;2;2;2;2\t12/1\n"
     "2,2|1,1|1.1;1.1;1.1;1.1;0.0\t0/1\n"
     "2,2|1,2|1.1;1.1;1.1;1.1;1.1\t1/1\n"

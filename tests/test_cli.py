@@ -150,6 +150,17 @@ def test_cache_wrong_closed_form_entry(tmp_path, capsys):
     assert err.startswith("cache error: ") and "wrong entry" in err
 
 
+def test_cache_non_integral_entry(tmp_path, capsys):
+    # a 4-mark entry of 3/2 (truly 1) must not reach the invariant
+    bad = tmp_path / "bad.cache"
+    bad.write_text(f"{MemoStore.VERSION}\n2,4|1,0|3.0;2.3;2.0;1.0\t3/2\n")
+    code = run_cli(["invariant", "--k", "2", "--n", "4", "--parts", "[1];[2,1];[2,2];[1]",
+                    "--d", "1", "--cache", str(bad)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("cache error: ") and ":2: non-integral value" in err
+
+
 def test_verify_all_malformed_cache(tmp_path):
     bad = tmp_path / "bad.cache"
     bad.write_text(TRUNCATED_CACHE)
@@ -184,12 +195,12 @@ def test_wdvv_instance_counts(suite, k, n, max_degree, max_insertions, instances
 
 
 def test_five_point_symmetry_draws_pinned_sample():
-    # seed 0 draws from a degree-major list of admissible tuples; the store
-    # counts pin which samples it drew
+    # seed 0 draws from a degree-major list of admissible tuples; entries and
+    # misses pin which samples it drew, hits how often the brackets read them
     store = MemoStore()
     (report,) = run_suites(RunConfig(k=2, n=4, max_degree=2, suites=("five-point-symmetry",)), store)
     assert report.passed and report.instances == 50
-    assert store.stats() == {"entries": 301, "hits": 359, "misses": 301}
+    assert store.stats() == {"entries": 301, "hits": 335, "misses": 301}
 
 
 def test_cache_roundtrip(tmp_path, capsys):

@@ -101,6 +101,16 @@ def test_i_bracket_three_point(store):
     v = i_bracket([Lifted(P(1)), LiftedTimesOmega(P(2, 1)), LiftedTimesOmega(P(2, 2))],
                   1, B24, store)
     assert v == gr.three_point(P(1), P(2, 1), P(2, 2), 1, B24) == 1
+    # omega alone is the lift of [] times omega: one bracket and one store
+    # entry, whatever the order of the insertions
+    fresh = MemoStore()
+    pair = [Lifted(P(1)), LiftedTimesOmega(P(2, 1))]
+    v = i_bracket(pair + [OMEGA], 0, B24, fresh)
+    w = i_bracket(pair + [LiftedTimesOmega(P())], 0, B24, fresh)
+    assert len(fresh.brackets) == 1
+    assert v == w == gr.three_point(P(1), P(2, 1), P(), 0, B24) == 1
+    assert i_bracket([OMEGA, pair[1], pair[0]], 0, B24, fresh) == 1
+    assert len(fresh.brackets) == 1
 
 
 def test_i_bracket_degree_zero_is_martin(store):
