@@ -218,7 +218,8 @@ class MemoStore:
         the next save then rewrites the file without it.
 
         Raises CacheVersionError on a wrong header, and CacheFormatError on a
-        malformed entry, on a non-integral value, and on an entry that
+        malformed entry (a multidegree or a mark of other than k entries, or
+        fewer than 3 marks), on a non-integral value, and on an entry that
         contradicts the product formula, another entry or this store; the
         store is then unchanged.
         """
@@ -235,6 +236,9 @@ class MemoStore:
             try:
                 key_text, val_text = line.split("\t")
                 key = self.parse_key_text(key_text, pieces)
+                k, n, d, ins = key
+                if len(d) != k or len(ins) < 3 or any(len(m) != k for m in ins):
+                    raise ValueError(key)
                 value = values.get(val_text)
                 if value is None:
                     num, den = val_text.split("/")
@@ -246,14 +250,13 @@ class MemoStore:
                     value = values[val_text] = value.numerator
             except (ValueError, ZeroDivisionError):
                 raise CacheFormatError(f"{path}:{lineno}: malformed entry {line!r}") from None
-            if len(key[3]) >= 3:
-                closed = _closed_form(key[1], key[3], key[2])
-                if closed is not None:
-                    if value != closed:
-                        raise CacheFormatError(
-                            f"{path}:{lineno}: wrong entry: {key}: {value}, the product formula gives {closed}")
-                    dropped = True
-                    continue
+            closed = _closed_form(n, ins, d)
+            if closed is not None:
+                if value != closed:
+                    raise CacheFormatError(
+                        f"{path}:{lineno}: wrong entry: {key}: {value}, the product formula gives {closed}")
+                dropped = True
+                continue
             old = entries.setdefault(key, value)
             # one value per value text, so a repeat is the same object
             if old is not value and old != value:

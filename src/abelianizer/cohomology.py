@@ -101,16 +101,14 @@ class PClass:
 
     def __init__(self, space: ProductSpace, terms: dict = None):
         self.space = space
-        t = {}
+        self.terms = {}
+        k, n = space.k, space.n
         for e, c in (terms or {}).items():
-            e = tuple(int(x) for x in e)
-            if len(e) != space.k or any(x < 0 for x in e):
-                raise ValueError(f"bad exponent vector {e}")
-            if any(x >= space.n for x in e):
-                continue
-            if c:
-                t[e] = t.get(e, 0) + c
-        self.terms = {e: c for e, c in t.items() if c}
+            if not (type(e) is tuple and len(e) == k and all(type(x) is int and x >= 0 for x in e)):
+                raise ValueError(f"bad exponent vector {e!r}")
+            # H_i^n = 0
+            if c and max(e) < n:
+                self.terms[e] = c
 
     def __eq__(self, other):
         return isinstance(other, PClass) and self.space == other.space and self.terms == other.terms

@@ -70,11 +70,11 @@ class Insertion(NamedTuple):
 
 
 def Lifted(lam) -> Insertion:
-    return Insertion(lam if isinstance(lam, Partition) else Partition(lam), False)
+    return Insertion(Partition(lam), False)
 
 
 def LiftedTimesOmega(lam) -> Insertion:
-    return Insertion(lam if isinstance(lam, Partition) else Partition(lam), True)
+    return Insertion(Partition(lam), True)
 
 
 OMEGA = LiftedTimesOmega(Partition())
@@ -88,7 +88,7 @@ def i_bracket(insertions, d: int, box: BoxSpec, store: MemoStore, eps_off: bool 
     vanishes by Weyl anti-invariance (checked, not assumed).  eps_off drops
     the (-1)^((k-1)d) prefactor: the negative control for sign tests.
     """
-    ins = tuple(sorted(insertions, key=lambda i: (i.lam.parts, i.omega)))
+    ins = tuple(sorted(insertions))
     key = (box, ins, d, eps_off)
     value = store.brackets.get(key)
     if value is not None:
@@ -216,7 +216,7 @@ def evaluate_formula(tree: FormulaTree, partitions, d: int, box: BoxSpec,
     over splittings of d across the bracket factors.  A tuple that breaks the
     dimension rule (virtual_dim) is 0 before any bracket is evaluated.
     """
-    parts = [p if isinstance(p, Partition) else Partition(p) for p in partitions]
+    parts = [Partition(p) for p in partitions]
     if len(parts) != tree.l:
         raise ValueError(f"tree has arity {tree.l}, got {len(parts)} partitions")
     if sum(p.weight for p in parts) != virtual_dim(box, d, tree.l):
@@ -302,6 +302,23 @@ def check_two_point(box: BoxSpec, d_max: int, store: MemoStore) -> list[dict]:
     return violations
 
 
+def oracle_value(partitions, d: int, box: BoxSpec, value=None):
+    """An independent value of the Grassmannian invariant <partitions>_d, or None.
+
+    At 3 points it is the rim-hook value (grassmannian.three_point).  When
+    sigma_1 is among the partitions and d >= 1, the divisor axiom gives
+    d * <rest>_d, where <rest>_d is the rim-hook value at 3 points and
+    value(rest, d) at more.  Otherwise there is none.
+    """
+    parts = list(partitions)
+    if len(parts) == 3:
+        return grassmannian.three_point(*parts, d, box)
+    if d < 1 or grassmannian.SIGMA_1 not in parts:
+        return None
+    parts.remove(grassmannian.SIGMA_1)
+    return d * (grassmannian.three_point(*parts, d, box) if len(parts) == 3 else value(parts, d))
+
+
 def naive_vs_corrected(box: BoxSpec, d_max: int, store: MemoStore) -> dict:
     """Compare the single-bracket guess for 4-point invariants with the
     corrected formula.
@@ -310,7 +327,6 @@ def naive_vs_corrected(box: BoxSpec, d_max: int, store: MemoStore) -> dict:
     and (when a divisor insertion permits) the divisor-axiom oracle value.
     """
     tree = generate_formula(4)
-    sigma1 = Partition((1,))
     instances = []
     for combo, d in admissible_tuples(box, 4, d_max):
         ordered = sorted(combo, key=grlex_key)
@@ -320,11 +336,7 @@ def naive_vs_corrected(box: BoxSpec, d_max: int, store: MemoStore) -> dict:
             d, box, store,
         )
         corrected = evaluate_formula(tree, ordered, d, box, store)
-        oracle = None
-        if sigma1 in ordered and d >= 1:
-            rest = list(ordered)
-            rest.remove(sigma1)
-            oracle = d * grassmannian.three_point(rest[0], rest[1], rest[2], d, box)
+        oracle = oracle_value(ordered, d, box)
         instances.append(
             {"partitions": ordered, "d": d, "naive": naive,
              "corrected": corrected, "oracle": oracle}
@@ -446,8 +458,7 @@ def invert_mirror_series(box: BoxSpec, forward: dict, order: int) -> dict:
     v = u exp(F_1(u)), so u(v) solves u = v exp(-F_1(u)) by order-by-order
     substitution; then G_i = -F_i(u(v)).
     """
-    sigma1 = Partition((1,))
-    f1 = dict(forward.get(sigma1, {}))
+    f1 = dict(forward.get(grassmannian.SIGMA_1, {}))
     u = {1: Fraction(1)}  # u as a series in v
     for _ in range(order):
         fu = _ps_compose(f1, u, order)
@@ -462,8 +473,7 @@ def invert_mirror_series(box: BoxSpec, forward: dict, order: int) -> dict:
 def mirror_roundtrip_defect(box: BoxSpec, fwd: MirrorMapSeries) -> dict:
     """Compose the map with its inverse; returns per-coordinate defects
     (all-zero series when the reversion is exact)."""
-    sigma1 = Partition((1,))
-    g1 = dict(fwd.inverse.get(sigma1, {}))
+    g1 = dict(fwd.inverse.get(grassmannian.SIGMA_1, {}))
     # u(v) reconstructed from the inverse: u = v exp(G_1(v))
     order = fwd.order
     u = mul({1: Fraction(1)}, _ps_exp(g1, order), cap=order + 1)
@@ -500,7 +510,7 @@ class AssembledInvariants:
         return self.trees[l]
 
     def value(self, partitions, d: int) -> Fraction:
-        parts = tuple(sorted((p if isinstance(p, Partition) else Partition(p) for p in partitions), key=grlex_key))
+        parts = tuple(sorted(map(Partition, partitions), key=grlex_key))
         key = (parts, d)
         if key in self.cache:
             return self.cache[key]

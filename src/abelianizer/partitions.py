@@ -85,46 +85,36 @@ class BoxSpec:
         return [(e, d - e) for e in range(d + 1)]
 
 
-class Partition:
-    """A partition; trailing zeros are stripped on construction."""
+class Partition(tuple):
+    """A partition: the tuple of its parts, a weakly decreasing run of
+    non-negative ints with trailing zeros stripped.  It equals, and hashes
+    like, that tuple."""
 
-    __slots__ = ("parts",)
+    __slots__ = ()
 
-    def __init__(self, parts=()):
-        p = tuple(int(x) for x in parts)
-        while p and p[-1] == 0:
+    def __new__(cls, parts=()):
+        if type(parts) is cls:
+            return parts
+        p = tuple(parts)
+        if not (all(isinstance(x, int) for x in p) and all(a >= b for a, b in zip(p, p[1:]))
+                and (not p or p[-1] >= 0)):
+            raise ValueError(f"not a partition: {list(p)}")
+        while p and not p[-1]:
             p = p[:-1]
-        if any(x < 0 for x in p) or any(a < b for a, b in zip(p, p[1:])):
-            raise ValueError(f"not a partition: {parts!r}")
-        object.__setattr__(self, "parts", p)
+        return super().__new__(cls, p)
 
     @property
     def weight(self) -> int:
-        return sum(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
-    def __eq__(self, other):
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __hash__(self):
-        return hash(self.parts)
+        return sum(self)
 
     def __repr__(self):
         return text_form(self)
 
     def fits(self, box: BoxSpec) -> bool:
-        return len(self.parts) <= box.k and (not self.parts or self.parts[0] <= box.cols)
+        return len(self) <= box.k and (not self or self[0] <= box.cols)
 
     def padded(self, k: int) -> tuple[int, ...]:
-        return self.parts + (0,) * (k - len(self.parts))
+        return self + (0,) * (k - len(self))
 
 
 EMPTY = Partition()
@@ -132,12 +122,12 @@ EMPTY = Partition()
 
 def grlex_key(lam: Partition):
     """Sort key: by weight, then reverse-lexicographically on parts."""
-    return (lam.weight, tuple(-p for p in lam.parts))
+    return (lam.weight, tuple(-p for p in lam))
 
 
 def text_form(lam: Partition) -> str:
     """Canonical text form, e.g. "[2,1]"; the empty partition is "[]"."""
-    return "[" + ",".join(str(p) for p in lam.parts) + "]"
+    return "[" + ",".join(map(str, lam)) + "]"
 
 
 def parse_partition(text: str) -> Partition:

@@ -403,19 +403,19 @@ def test_memo_store_save_is_atomic(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["cache.txt"]
 
 
-# entries that load keeps: none of three or more marks that the product
-# formula settles (the 2-mark entry only exercises a negative value)
+# entries that load keeps: none that the product formula settles (the -3
+# entry only exercises a negative value; the invariant is 1)
 GOLDEN_ENTRIES = [
     ((2, 2, (1, 2), ((1, 1),) * 5), Fraction(1)),
     ((2, 2, (1, 2), ((1, 1),) * 5 + ((1, 0),)), Fraction(1)),
     ((2, 2, (1, 1), ((1, 1),) * 4 + ((0, 0),)), Fraction(0)),
     ((1, 3, (3,), ((2,),) * 8), Fraction(12)),
-    ((1, 3, (10,), ((2,), (1,))), Fraction(-3)),
+    ((1, 3, (1,), ((2,), (2,), (1,), (1,))), Fraction(-3)),
     ((2, 4, (1, 0), ((3, 0), (2, 3), (2, 0), (1, 0))), Fraction(1)),
 ]
 GOLDEN_TEXT = (
     "abelian-gw-cache v1\n"
-    "1,3|10|2;1\t-3/1\n"
+    "1,3|1|2;2;1;1\t-3/1\n"
     "1,3|3|2;2;2;2;2;2;2;2\t12/1\n"
     "2,2|1,1|1.1;1.1;1.1;1.1;0.0\t0/1\n"
     "2,2|1,2|1.1;1.1;1.1;1.1;1.1\t1/1\n"
@@ -466,9 +466,9 @@ def test_memo_store_save_elsewhere_writes(tmp_path):
     st.save(missing)
     assert missing.read_text() == GOLDEN_TEXT
     other = tmp_path / "other.txt"
-    other.write_text(f"{MemoStore.VERSION}\n1,3|1|2;2\t1/1\n")
+    other.write_text(f"{MemoStore.VERSION}\n1,3|2|2;2;2;2;2\t1/1\n")
     st.save(other)
-    assert MemoStore().load(other).data == {**dict(GOLDEN_ENTRIES), (1, 3, (1,), ((2,), (2,))): 1}
+    assert MemoStore().load(other).data == {**dict(GOLDEN_ENTRIES), (1, 3, (2,), ((2,),) * 5): 1}
     path.unlink()
     st.save(path)
     assert path.exists()
@@ -513,9 +513,9 @@ def test_memo_store_merge_conflict(tmp_path):
     path = tmp_path / "cache.txt"
     path.write_text(GOLDEN_TEXT)
     st = MemoStore().load(path)
-    key = (1, 3, (1,), ((2,), (2,)))
+    key = (1, 3, (2,), ((2,),) * 5)
     st.put(key, Fraction(1))
-    path.write_text(f"{GOLDEN_TEXT}1,3|1|2;2\t5/1\n")
+    path.write_text(f"{GOLDEN_TEXT}1,3|2|2;2;2;2;2\t5/1\n")
     with pytest.raises(CacheFormatError, match="conflicting entry"):
         st.save(path)
     assert MemoStore().load(path).data[key] == 5
@@ -526,7 +526,7 @@ def test_memo_store_put_during_save_keeps_change(tmp_path, monkeypatch):
     # changed, and the next save writes it
     path = tmp_path / "cache.txt"
     st = _golden_store()
-    key = (1, 3, (1,), ((2,), (2,)))
+    key = (1, 3, (2,), ((2,),) * 5)
     replace = os.replace
 
     def replace_after_put(src, dst):
@@ -552,7 +552,9 @@ def test_memo_store_concurrent_puts_and_saves(tmp_path):
 
     def work(t):
         for j in range(300):
-            st.put((1, 3, (t,), ((j,),)), Fraction(j))
+            # <pt, pt, H, H>_1 on P^{n-1}, one n per key
+            n = 2 + 300 * t + j
+            st.put((1, n, (1,), ((n - 1,), (n - 1,), (1,), (1,))), Fraction(j))
 
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

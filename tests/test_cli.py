@@ -161,6 +161,37 @@ def test_cache_non_integral_entry(tmp_path, capsys):
     assert err.startswith("cache error: ") and ":2: non-integral value" in err
 
 
+@pytest.mark.parametrize("key", [
+    "2,4|1|3.0;2.3;2.0;1.0",      # multidegree with 1 entry, k = 2
+    "2,4|1,0,0|3.0;2.3;2.0;1.0",  # multidegree with 3 entries
+    "2,4|1,0|3.0.1;2.3;2.0;1.0",  # a mark with 3 entries
+    "2,4|1,0|3;2.3;2.0;1.0",      # a mark with 1 entry
+    "2,4|1,0|",                   # no marks
+    "2,4|1,0|3.0",                # fewer than 3 marks
+])
+def test_cache_malformed_key(key, tmp_path, capsys, monkeypatch):
+    # each line parses, but is no key of the store: it must not load and be
+    # written back by the next save
+    monkeypatch.delenv("ABELIANIZER_CACHE", raising=False)
+    bad = tmp_path / "bad.cache"
+    text = f"{MemoStore.VERSION}\n{key}\t1/1\n"
+    bad.write_text(text)
+    code = run_cli(["invariant", "--k", "2", "--n", "4", "--parts", "[1];[2,1];[2,1];[2,2]",
+                    "--d", "1", "--cache", str(bad)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("cache error: ") and ":2: malformed entry" in err
+    assert bad.read_text() == text
+
+
+def test_invariant_names_a_bad_partition(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["invariant", "--k", "2", "--n", "4", "--parts", "[1,2];[1];[2,2]", "--d", "1"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "not a partition: [1, 2]" in err and "generator" not in err
+
+
 def test_verify_all_malformed_cache(tmp_path):
     bad = tmp_path / "bad.cache"
     bad.write_text(TRUNCATED_CACHE)

@@ -78,6 +78,16 @@ def test_integrate_examples():
     assert integrate(variable(S24, 0)) == 0
 
 
+def test_pclass_rejects_non_int_exponents():
+    with pytest.raises(ValueError):
+        PClass(S24, {(1.5, 0): 1})
+
+
+def test_pclass_drops_vanishing_terms():
+    # H_i^4 = 0 on (P^3)^2, and a zero coefficient is no term
+    assert PClass(S24, {(4, 0): 1, (1, 0): 0, (0, 1): 2}).terms == {(0, 1): 2}
+
+
 def test_weyl_action():
     h1 = variable(S24, 0)
     swapped = weyl_action((1, 0), h1)

@@ -41,6 +41,17 @@ def test_partition_normalization():
         Partition([-1])
 
 
+def test_partition_rejects_non_int_parts():
+    with pytest.raises(ValueError, match=r"not a partition: \[1.5\]"):
+        Partition((1.5,))
+
+
+def test_partition_is_the_tuple_of_its_parts():
+    p = P(2, 1)
+    assert Partition(p) is p
+    assert p == (2, 1) and hash(p) == hash((2, 1))
+
+
 def test_box_partitions_order_2x2():
     got = box_partitions(BoxSpec(2, 4))
     assert got == [P(), P(1), P(2), P(1, 1), P(2, 1), P(2, 2)]
