@@ -152,14 +152,15 @@ class MemoStore:
 
     @staticmethod
     def parse_key_text(text: str, pieces=None):
-        """The key whose key_text is text.  pieces, a pair of dicts kept
-        across calls, holds the value of each comma- and dot-separated piece
-        of text already parsed."""
+        """The key whose key_text is text; ValueError on a number < 0 or an
+        exponent >= n.  pieces, a pair of dicts kept across calls, holds each
+        comma- and (by n) dot-separated piece of text already parsed."""
         commas, dots = pieces or ({}, {})
         head, dpart, ipart = text.split("|")
         k, n = _parse_piece(commas, head, ",")
         d = _parse_piece(commas, dpart, ",")
-        ins = tuple([_parse_piece(dots, m, ".") for m in ipart.split(";")]) if ipart else ()
+        monomials = dots.setdefault(n, {})
+        ins = tuple([_parse_piece(monomials, m, ".", n) for m in ipart.split(";")]) if ipart else ()
         return (k, n, d, ins)
 
     def save(self, path=None):
@@ -218,10 +219,10 @@ class MemoStore:
         the next save then rewrites the file without it.
 
         Raises CacheVersionError on a wrong header, and CacheFormatError on a
-        malformed entry (a multidegree or a mark of other than k entries, or
-        fewer than 3 marks), on a non-integral value, and on an entry that
-        contradicts the product formula, another entry or this store; the
-        store is then unchanged.
+        malformed entry (k < 1, n < 2, a number < 0, a multidegree or a mark of
+        other than k entries, an exponent >= n, fewer than 3 marks), on a
+        non-integral value, and on an entry that contradicts the product
+        formula, another entry or this store; the store is then unchanged.
         """
         path = path or self.path
         with open(path) as fh:
@@ -237,7 +238,7 @@ class MemoStore:
                 key_text, val_text = line.split("\t")
                 key = self.parse_key_text(key_text, pieces)
                 k, n, d, ins = key
-                if len(d) != k or len(ins) < 3 or any(len(m) != k for m in ins):
+                if k < 1 or n < 2 or len(d) != k or len(ins) < 3 or any(len(m) != k for m in ins):
                     raise ValueError(key)
                 value = values.get(val_text)
                 if value is None:
@@ -286,10 +287,13 @@ def _piece_text(memo: dict, ints: tuple, sep: str) -> str:
     return text
 
 
-def _parse_piece(memo: dict, text: str, sep: str) -> tuple:
+def _parse_piece(memo: dict, text: str, sep: str, bound=None) -> tuple:
     ints = memo.get(text)
     if ints is None:
-        ints = memo[text] = tuple([int(x) for x in text.split(sep)])
+        ints = tuple([int(x) for x in text.split(sep)])
+        if min(ints) < 0 or bound is not None and max(ints) >= bound:
+            raise ValueError(text)
+        memo[text] = ints
     return ints
 
 

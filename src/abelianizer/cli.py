@@ -36,6 +36,7 @@ from .grassmannian import fundamental_solution
 from .jfunctions import i_function, solve_c_coefficients
 
 REPORT_SCHEMA = "report v1"
+FIVE_POINT_SAMPLES = 50  # permuted 5-point tuples that five-point-symmetry draws
 
 @dataclass
 class RunConfig:
@@ -151,7 +152,7 @@ def _suite_four_point_divisor(cfg: RunConfig, store: MemoStore):
             {"nonzero_corrections": len(rep["nonzero_corrections"])})
 
 
-def _suite_five_point_symmetry(cfg: RunConfig, store: MemoStore, min_samples: int = 50):
+def _suite_five_point_symmetry(cfg: RunConfig, store: MemoStore):
     box = cfg.box()
     tree = generate_formula(5)
     rng = random.Random(cfg.seed)
@@ -159,7 +160,7 @@ def _suite_five_point_symmetry(cfg: RunConfig, store: MemoStore, min_samples: in
     # the order of admissible_tuples
     admissible = sorted(admissible_tuples(box, 5, cfg.max_degree), key=lambda t: t[1])
     violations, count = [], 0
-    while count < min_samples and admissible:
+    while count < FIVE_POINT_SAMPLES and admissible:
         combo, d = rng.choice(admissible)
         base = list(combo)
         ref = evaluate_formula(tree, base, d, box, store)

@@ -15,15 +15,18 @@ replaces covariant-derivative insertions by a contraction
 
     grad_{xi} xi' = - sum_a <<xi, xi', omega, lift(a) omega>> xi_{a^vee}
 
-over the Schubert basis.  Iterating yields a signed tree of bracket
-products (generate_formula); restricting the horizontal fields to the
-divisor locus turns every xi into a plain Schur lift (evaluate_formula).
+over the Schubert basis.  Iterating yields a signed sum of bracket trees
+(generate_formula); restricting the horizontal fields to the divisor locus
+turns every xi into a plain Schur lift, and each tree is contracted from its
+leaves up (evaluate_formula).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -130,90 +133,76 @@ def specialize_novikov(series: dict, k: int) -> dict:
 # ---------------------------------------------------------------------------
 # the correction-formula tree
 
-# symbolic insertion slots inside a formula tree:
-#   ("xi", s)    horizontal field of input slot s      (restricts to s~_s)
-#   ("xid", j)   dual leg of contraction j             (restricts to s~_{a_j^vee})
-#   ("om",)      omega
-#   ("lom_s", s) lift of slot s, cupped with omega
-#   ("lom_i", j) lift of contraction index a_j, cupped with omega
+# A formula tree is a bracket: a tuple of slots.  A slot is one of
+#   ("xi", s)     horizontal field of input slot s      (restricts to s~_s)
+#   ("lom_s", s)  lift of slot s, cupped with omega
+#   ("om",)       omega
+#   ("up",)       the parent's contraction index a, cupped with omega
+#   a bracket     a child, joined by its own index a    (restricts to s~_{a^vee})
+# so every contraction index joins exactly two brackets; is_child tells the
+# last kind from the tags.
+
+XI_NEW, OM_SLOT, UP_SLOT = ("xi", 0), ("om",), ("up",)
 
 
 @dataclass
 class FormulaTree:
-    """Signed sum of products of brackets expressing an l-point invariant."""
+    """Signed sum of bracket trees expressing an l-point invariant."""
 
     l: int
-    groups: list  # (sign, brackets, n_contractions)
+    groups: list  # (sign, root bracket)
+
+
+def is_child(slot) -> bool:
+    return not isinstance(slot[0], str)
 
 
 def generate_formula(l: int) -> FormulaTree:
-    """Correction formula for l-point small-locus Grassmannian invariants.
-
-    l = 3 is the single-bracket identity; each further insertion is a
-    derivative: the product rule adds the new field to every factor, and
-    every covariant-derivative insertion is replaced by minus a contraction
-    over the Schubert basis, creating one more bracket factor.
-    """
+    """Correction formula for l-point small-locus Grassmannian invariants: the
+    single-bracket identity at l = 3, differentiated once per further insertion."""
     if l < 3:
         raise ValueError("need at least 3 insertions")
-    groups = [(1, ((("xi", 0), ("lom_s", 1), ("lom_s", 2)),), 0)]
+    groups = [(1, (XI_NEW, ("lom_s", 1), ("lom_s", 2)))]
     for _ in range(l - 3):
-        groups = _differentiate(groups)
+        groups = [(sign * s, grown) for sign, root in groups for s, grown in _derivatives(_shift(root))]
     return FormulaTree(l, groups)
 
 
-def _shift_slot(ins):
-    if ins[0] == "xi":
-        return ("xi", ins[1] + 1)
-    if ins[0] == "lom_s":
-        return ("lom_s", ins[1] + 1)
-    return ins
+def _shift(br) -> tuple:
+    return tuple(_shift(s) if is_child(s) else (s[0], s[1] + 1) if s[0] in ("xi", "lom_s") else s
+                 for s in br)
 
 
-def _differentiate(groups):
-    new = []
-    for sign, brackets, nc in groups:
-        shifted = tuple(tuple(_shift_slot(i) for i in br) for br in brackets)
-        for fi in range(len(shifted)):
-            grown = list(shifted)
-            grown[fi] = (("xi", 0),) + shifted[fi]
-            new.append((sign, tuple(grown), nc))
-        for fi in range(len(shifted)):
-            for pi, ins in enumerate(shifted[fi]):
-                if ins[0] not in ("xi", "xid"):
-                    continue
-                j = nc
-                modified = list(shifted[fi])
-                modified[pi] = ("xid", j)
-                derivative_factor = (("xi", 0), ins, ("om",), ("lom_i", j))
-                grown = list(shifted)
-                grown[fi] = tuple(modified)
-                grown.insert(fi, derivative_factor)
-                new.append((-sign, tuple(grown), nc + 1))
-    return new
+def _derivatives(br):
+    """The terms (sign, bracket) of the derivative of br by xi_0: the product
+    rule puts xi_0 into br, each xi or child slot becomes minus the child
+    (xi_0, slot, om, up), and each child is differentiated in place."""
+    yield 1, (XI_NEW,) + br
+    for i, slot in enumerate(br):
+        child = is_child(slot)
+        if child or slot[0] == "xi":
+            yield -1, br[:i] + ((XI_NEW, slot, OM_SLOT, UP_SLOT),) + br[i + 1:]
+        if child:
+            for s, grown in _derivatives(slot):
+                yield s, br[:i] + (grown,) + br[i + 1:]
 
 
-def _realize_symbolic(sym, parts, assign, box) -> Insertion:
-    tag = sym[0]
-    if tag == "xi":
-        return Lifted(parts[sym[1]])
-    if tag == "xid":
-        return Lifted(complement(assign[sym[1]], box))
-    if tag == "om":
-        return OMEGA
-    if tag == "lom_s":
-        return LiftedTimesOmega(parts[sym[1]])
-    if tag == "lom_i":
-        return LiftedTimesOmega(assign[sym[1]])
-    raise ValueError(f"unknown symbolic insertion {sym!r}")
+def bracket_degree(insertions, box: BoxSpec):
+    """The one degree e >= 0 at which the lifted bracket of insertions can be
+    nonzero, or None: where the codimensions, omega's being binom(k, 2), add
+    up to virtual_dim on (P^{n-1})^k, which grows by n per unit of degree."""
+    codim = sum(i.lam.weight + i.omega * math.comb(box.k, 2) for i in insertions)
+    e, r = divmod(codim - virtual_dim(space_of(box), (0,) * box.k, len(insertions)), box.n)
+    return e if e >= 0 and not r else None
 
 
 def evaluate_formula(tree: FormulaTree, partitions, d: int, box: BoxSpec,
                      store: MemoStore, eps_off: bool = False) -> Fraction:
     """Evaluate the corrected l-point Grassmannian invariant at degree d.
 
-    Sums over assignments of box partitions to the contraction indices and
-    over splittings of d across the bracket factors.  A tuple that breaks the
+    Each group is contracted from the leaves up: a bracket at its parent's index
+    is summed over its children's indices (each child contracted once per index
+    in this call) at its bracket_degree alone.  A tuple that breaks the
     dimension rule (virtual_dim) is 0 before any bracket is evaluated.
     """
     parts = [Partition(p) for p in partitions]
@@ -221,65 +210,70 @@ def evaluate_formula(tree: FormulaTree, partitions, d: int, box: BoxSpec,
         raise ValueError(f"tree has arity {tree.l}, got {len(parts)} partitions")
     if sum(p.weight for p in parts) != virtual_dim(box, d, tree.l):
         return Fraction(0)
-    basis = box_partitions(box)
-    total = Fraction(0)
-    for sign, brackets, nc in tree.groups:
-        comps = lifts(d, len(brackets))
-        for assign in itertools.product(basis, repeat=nc):
-            realized = [[_realize_symbolic(s, parts, assign, box) for s in br] for br in brackets]
-            for comp in comps:
-                prod = Fraction(sign)
-                for ins, e in zip(realized, comp):
-                    v = i_bracket(ins, e, box, store, eps_off)
-                    if not v:
-                        prod = Fraction(0)
-                        break
-                    prod *= v
-                total += prod
-    return total
+    basis = [a for c in range(box.dim + 1) for a in box.basis_of_codim(c)]
+    realized = {OM_SLOT: OMEGA}
+    for s, p in enumerate(parts):
+        realized[("xi", s)], realized[("lom_s", s)] = Lifted(p), LiftedTimesOmega(p)
+
+    @functools.cache
+    def table(child) -> list:
+        # (s~_{a^vee}, the child contracted at a) for each a where that is nonzero
+        return [(Lifted(complement(a, box)), w) for a in basis if (w := contract(child, LiftedTimesOmega(a)))]
+
+    def contract(br, up) -> Fraction:
+        # up: the parent's index a, realized as s~_a.w
+        fixed, children = [], []
+        for slot in br:
+            if is_child(slot):
+                children.append(table(slot))
+            else:
+                fixed.append(up if slot == UP_SLOT else realized[slot])
+        value = Fraction(0)
+        for choice in itertools.product(*children):
+            ins = fixed + [dual for dual, _ in choice]
+            e = bracket_degree(ins, box)
+            if e is not None:
+                value += math.prod((w for _, w in choice), start=i_bracket(ins, e, box, store, eps_off))
+        return value
+
+    return sum((sign * contract(root, None) for sign, root in tree.groups), Fraction(0))
 
 
 def render_formula(tree: FormulaTree) -> str:
-    """Human-readable layout of the tree, one term-group per line."""
+    """Human-readable layout of the tree, one term-group per line, its
+    brackets depth-first and its contraction indices a_j in the order met."""
     lines = []
-    for sign, brackets, nc in tree.groups:
+    for sign, root in tree.groups:
+        brackets = []
+        _render_bracket(root, None, brackets)
         head = "+" if sign > 0 else "-"
-        sums = "".join(f" sum_a{j}" for j in range(nc))
-        degs = ""
-        if len(brackets) > 1:
-            degs = " sum_{" + "+".join(f"e{i}" for i in range(len(brackets))) + "=d}"
-        body = " ".join(
-            "I_{}({})".format(len(br), ", ".join(_render_sym(s) for s in br))
-            for br in brackets
-        )
-        lines.append(f"{head}{sums}{degs} {body}")
+        sums = "".join(f" sum_a{j}" for j in range(len(brackets) - 1))
+        degs = " sum_{" + "+".join(f"e{i}" for i in range(len(brackets))) + "=d}" if sums else ""
+        lines.append(f"{head}{sums}{degs} {' '.join(brackets)}")
     return "\n".join(lines)
 
 
-def _render_sym(sym) -> str:
-    tag = sym[0]
-    if tag == "xi":
-        return f"s~{sym[1] + 1}"
-    if tag == "xid":
-        return f"s~a{sym[1]}v"
-    if tag == "om":
-        return "w"
-    if tag == "lom_s":
-        return f"s~{sym[1] + 1}.w"
-    return f"s~a{sym[1]}.w"
+def _render_bracket(br, up, out: list) -> None:
+    # br goes to out ahead of its children; the child at out[j + 1] has index a_j
+    at = len(out)
+    out.append(None)
+    texts = []
+    for slot in br:
+        if is_child(slot):
+            texts.append(f"s~a{len(out) - 1}v")
+            _render_bracket(slot, len(out) - 1, out)
+        elif slot[0] in ("om", "up"):
+            texts.append("w" if slot == OM_SLOT else f"s~a{up}.w")
+        else:
+            texts.append(f"s~{slot[1] + 1}" + (".w" if slot[0] == "lom_s" else ""))
+    out[at] = f"I_{len(br)}({', '.join(texts)})"
 
 
 def formula_to_json(tree: FormulaTree) -> str:
+    """The tree as JSON, each bracket a list of slots: tags and brackets."""
     doc = {
         "arity": tree.l,
-        "groups": [
-            {
-                "sign": sign,
-                "contractions": nc,
-                "brackets": [[list(s) for s in br] for br in brackets],
-            }
-            for sign, brackets, nc in tree.groups
-        ],
+        "groups": [{"sign": sign, "root": root} for sign, root in tree.groups],
     }
     return json.dumps(doc, indent=1, sort_keys=True)
 

@@ -326,6 +326,23 @@ def test_memo_store_malformed_entry(tmp_path, entry):
 
 
 @pytest.mark.parametrize("entry", [
+    "2,4|1,0|5.0;1.1;1.1;1.1\t7/1",    # a mark entry >= n: H_1^5 = 0 on P^3
+    "2,4|1,0|-1.0;3.1;3.1;3.1\t2/1",   # a negative mark entry
+    "2,4|-1,1|3.0;2.3;2.0;1.0\t0/1",   # a negative degree
+    "2,1|0,0|0.0;0.0;0.0;0.0\t0/1",    # n < 2
+    "0,4|0|0;0;0;0\t1/1",              # k < 1
+], ids=["mark-above-n", "negative-mark", "negative-degree", "n-below-2", "k-below-1"])
+def test_memo_store_rejects_out_of_range_key(tmp_path, entry):
+    # each line parses, and the product formula lets the first two through
+    path = tmp_path / "bad.txt"
+    path.write_text(f"{GOLDEN_TEXT}{entry}\n")
+    st = MemoStore()
+    with pytest.raises(CacheFormatError, match=":8: malformed entry"):
+        st.load(path)
+    assert st.data == {}
+
+
+@pytest.mark.parametrize("entry", [
     "2,4|1,0|3.2;3.1;1.0\t7/1",       # 3 marks: the product formula gives 1
     "2,4|1,0|3.2;3.1;1.0\t0/1",
     "2,2|1,1|1.1;1.1;1.0\t1/1",       # 3 marks, ex = (0, -1): it gives 0

@@ -23,6 +23,7 @@ from abelianizer.correspondence import (
     check_two_point,
     evaluate_formula,
     generate_formula,
+    is_child,
     mirror_map,
     naive_vs_corrected,
 )
@@ -103,9 +104,14 @@ def test_criterion_04_four_point_divisor(store):
 def test_criterion_05_five_point_structure(store):
     t0 = time.time()
     tree = generate_formula(5)
+
+    def contractions(br):
+        # one contraction index per child bracket, nested ones included
+        return sum(1 + contractions(s) for s in br if is_child(s))
+
     groups_ok = len(tree.groups) == 8
-    singles = sum(1 for _, _, nc in tree.groups if nc == 1)
-    doubles = sum(1 for _, _, nc in tree.groups if nc == 2)
+    singles = sum(1 for _, root in tree.groups if contractions(root) == 1)
+    doubles = sum(1 for _, root in tree.groups if contractions(root) == 2)
     shape_ok = groups_ok and singles == 4 and doubles == 3
     box = BoxSpec(2, 4)
     rng = random.Random(2024)

@@ -53,7 +53,13 @@ def test_invariant_dimension_violating_zero(capsys):
      "a43c1a338aa96ec9780e00ed41ad1db4cddf74573e20888fbf355d91920eee9b"),
     ("invariant --k 2 --n 4 --parts [2,1];[2,1];[2,1];[2,2] --d 2",
      "deb935f7641557edba1d0640314df06d23d6836fac29fd14cc9e7246770aa96f"),
-], ids=["abelian-2-2", "abelian-2-3", "grass-2-4", "invariant-2-4"])
+    # recorded at version 0.5.0, before the formula trees were contracted
+    # from the leaves: 6-point and 5-point invariants
+    ("table --k 2 --n 4 --max-degree 2 --max-insertions 6 --format csv",
+     "3c8142917c32093de31d2975509f46102fec510f02db88d17ad16304e2bab38a"),
+    ("table --k 2 --n 5 --max-degree 2 --max-insertions 5 --format csv",
+     "8e6bea144446c1e44dd5b433750a1b452735b895d63c411b1cbb84438384cf05"),
+], ids=["abelian-2-2", "abelian-2-3", "grass-2-4", "invariant-2-4", "grass-2-4-six", "grass-2-5-five"])
 def test_cli_output_pinned(argv, digest, capsys, monkeypatch):
     monkeypatch.delenv("ABELIANIZER_CACHE", raising=False)
     assert run_cli(argv.split()) == 0
@@ -168,6 +174,7 @@ def test_cache_non_integral_entry(tmp_path, capsys):
     "2,4|1,0|3;2.3;2.0;1.0",      # a mark with 1 entry
     "2,4|1,0|",                   # no marks
     "2,4|1,0|3.0",                # fewer than 3 marks
+    "2,4|1,0|5.0;1.1;1.1;1.1",    # a mark entry >= n
 ])
 def test_cache_malformed_key(key, tmp_path, capsys, monkeypatch):
     # each line parses, but is no key of the store: it must not load and be

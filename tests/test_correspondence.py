@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from abelianizer.partitions import BoxSpec, Partition, box_partitions
-from abelianizer.abelian_gw import MemoStore
+from abelianizer.partitions import BoxSpec, Partition, box_partitions, complement, lifts
+from abelianizer.abelian_gw import MemoStore, admissible_tuples, virtual_dim
 from abelianizer.cohomology import cup, lift, martin_integral
 from abelianizer import grassmannian as gr
 from abelianizer.correspondence import (
@@ -17,6 +17,7 @@ from abelianizer.correspondence import (
     MirrorMapSeries,
     OMEGA,
     assemble_and_check_wdvv,
+    bracket_degree,
     check_omega_triviality,
     check_two_point,
     evaluate_formula,
@@ -24,6 +25,7 @@ from abelianizer.correspondence import (
     generate_formula,
     i_bracket,
     invert_mirror_series,
+    is_child,
     mirror_map,
     mirror_roundtrip_defect,
     naive_vs_corrected,
@@ -42,11 +44,20 @@ B24 = BoxSpec(2, 4)
 # ---------------------------------------------------------------------------
 # formula trees
 
+def brackets_of(root):
+    """The brackets of a formula tree, root first, depth-first."""
+    yield root
+    for slot in root:
+        if is_child(slot):
+            yield from brackets_of(slot)
+
+
 def test_tree_group_counts():
     profiles = {}
     for l in (3, 4, 5):
         tree = generate_formula(l)
-        profiles[l] = (len(tree.groups), dict(Counter(nc for _, _, nc in tree.groups)))
+        counts = Counter(sum(1 for _ in brackets_of(root)) - 1 for _, root in tree.groups)
+        profiles[l] = (len(tree.groups), dict(counts))
     assert profiles[3] == (1, {0: 1})
     assert profiles[4] == (2, {0: 1, 1: 1})
     # main term + 4 single-contraction + 3 double-contraction groups
@@ -54,31 +65,126 @@ def test_tree_group_counts():
 
 
 def test_tree_contains_lower_tree():
-    # prepending the new field to the first factor of each (l-1)-group
-    # reproduces a group of the l-tree: the derivative-free part
+    # prepending the new field to the root of each (l-1)-group reproduces a
+    # group of the l-tree: the derivative-free part
+    def shift(br):
+        return tuple(shift(s) if is_child(s) else (s[0], s[1] + 1) if s[0] in ("xi", "lom_s") else s
+                     for s in br)
+
     for l in (4, 5, 6):
         prev = generate_formula(l - 1)
-        cur = generate_formula(l)
-        cur_set = {(s, b) for s, b, _ in cur.groups}
-
-        def shift(ins):
-            if ins[0] in ("xi", "lom_s"):
-                return (ins[0], ins[1] + 1)
-            return ins
-
-        for sign, brackets, _ in prev.groups:
-            shifted = tuple(tuple(shift(i) for i in br) for br in brackets)
-            grown = ((("xi", 0),) + shifted[0],) + shifted[1:]
-            assert (sign, grown) in cur_set
+        cur_set = set(generate_formula(l).groups)
+        for sign, root in prev.groups:
+            assert (sign, (("xi", 0),) + shift(root)) in cur_set
 
 
 def test_every_bracket_has_two_omega_insertions():
-    # structural parity invariant: each bracket factor carries exactly two
-    # omega insertions, for every arity
+    # structural parity invariant: each bracket, nested ones included,
+    # carries exactly two omega insertions, for every arity
+    nested = 0
     for l in range(3, 8):
-        for _, brackets, _ in generate_formula(l).groups:
-            for br in brackets:
-                assert sum(1 for s in br if s[0] in ("om", "lom_s", "lom_i")) == 2
+        for _, root in generate_formula(l).groups:
+            for br in brackets_of(root):
+                nested += br is not root
+                assert sum(1 for s in br if not is_child(s) and s[0] in ("om", "lom_s", "up")) == 2
+    assert nested
+
+
+# the assignment loop that evaluate_formula replaced, kept as the reference
+# path: a group as a flat list of brackets whose contraction indices are
+# numbered tags, summed over every assignment of box partitions to the
+# indices and every split of d among the brackets
+
+def flatten(root):
+    """(brackets, nc): the slot of child j is ("xid", j), and that child's
+    ("up",) is ("lom_i", j).  Each child precedes its parent, the order
+    the flat groups kept."""
+    brackets, index = [], itertools.count()
+
+    def walk(br, up):
+        slots = []
+        for s in br:
+            if is_child(s):
+                j = next(index)
+                walk(s, j)
+                slots.append(("xid", j))
+            else:
+                slots.append(("lom_i", up) if s == ("up",) else s)
+        brackets.append(tuple(slots))
+
+    walk(root, None)
+    return brackets, next(index)
+
+
+def reference_formula(tree, partitions, d, box, store):
+    parts = [Partition(p) for p in partitions]
+    if sum(p.weight for p in parts) != virtual_dim(box, d, tree.l):
+        return Fraction(0)
+    basis = box_partitions(box)
+
+    def realize(sym, assign):
+        tag, *rest = sym
+        if tag == "xi":
+            return Lifted(parts[rest[0]])
+        if tag == "xid":
+            return Lifted(complement(assign[rest[0]], box))
+        if tag == "om":
+            return OMEGA
+        if tag == "lom_s":
+            return LiftedTimesOmega(parts[rest[0]])
+        assert tag == "lom_i"
+        return LiftedTimesOmega(assign[rest[0]])
+
+    total = Fraction(0)
+    for sign, root in tree.groups:
+        brackets, nc = flatten(root)
+        comps = lifts(d, len(brackets))
+        for assign in itertools.product(basis, repeat=nc):
+            realized = [[realize(s, assign) for s in br] for br in brackets]
+            for comp in comps:
+                prod = Fraction(sign)
+                for ins, e in zip(realized, comp):
+                    prod *= i_bracket(ins, e, box, store)
+                    if not prod:
+                        break
+                total += prod
+    return total
+
+
+def test_tree_contraction_matches_assignment_loop():
+    # every admissible Gr(2,4) tuple with at most 5 points at d <= 2; each
+    # side has its own store, and both end the same
+    tree_store, loop_store = MemoStore(), MemoStore()
+    count = 0
+    for l in (3, 4, 5):
+        tree = generate_formula(l)
+        for combo, d in admissible_tuples(B24, l, 2):
+            got = evaluate_formula(tree, list(combo), d, B24, tree_store)
+            assert got == reference_formula(tree, combo, d, B24, loop_store), (combo, d)
+            count += 1
+    assert count > 80
+    assert tree_store.data == loop_store.data
+    # no bracket was evaluated at a degree where the dimension rule zeroes it
+    assert all(bracket_degree(ins, B24) == e for _, ins, e, _ in tree_store.brackets)
+
+
+def test_flatten_is_the_tagged_tree():
+    # the 4-point correction: one contraction joins the two brackets
+    (_, root), = [g for g in generate_formula(4).groups if g[0] < 0]
+    assert flatten(root) == ([(("xi", 0), ("xi", 1), ("om",), ("lom_i", 0)),
+                              (("xid", 0), ("lom_s", 2), ("lom_s", 3))], 1)
+
+
+def test_bracket_degree_is_the_dimension_rule():
+    # <s1, s21.w, s22.w> on (P^3)^2: 1 + 3 + 4 + 2*1 = 10 = 6 + 4e + 0, e = 1
+    ins = [Lifted(P(1)), LiftedTimesOmega(P(2, 1)), LiftedTimesOmega(P(2, 2))]
+    assert bracket_degree(ins, B24) == 1
+    assert bracket_degree([Lifted(P(2))] + ins[1:], B24) is None     # 11 = 6 + 4e: no e
+    assert bracket_degree([OMEGA, OMEGA, Lifted(P())], B24) is None  # 2 = 6 + 4e: e < 0
+    # a 3-point root has no child: one bracket, at that one degree
+    st = MemoStore()
+    assert evaluate_formula(generate_formula(3), [P(1), P(2, 1), P(2, 2)], 1, B24, st) == 1
+    assert list(st.brackets) == [(B24, tuple(sorted(ins)), 1, False)]
 
 
 def test_render_and_json():
@@ -270,6 +376,25 @@ def test_five_point_double_divisor_oracle(store):
             assert val == want, (combo, d)
             found += 1
     assert found
+
+
+def test_divisor_axiom_five_to_seven_points(store):
+    # <s1, rest>_d = d * <rest>_d through AssembledInvariants, on every
+    # admissible Gr(2,4) tuple with s1 at d = 1, 2, for 5, 6 and 7 points
+    inv = AssembledInvariants(B24, store)
+    counts = {}
+    for l in (5, 6, 7):
+        for combo, d in admissible_tuples(B24, l, 2):
+            if d < 1 or gr.SIGMA_1 not in combo:
+                continue
+            rest = list(combo)
+            rest.remove(gr.SIGMA_1)
+            assert inv.value(combo, d) == d * inv.value(rest, d), (combo, d)
+            counts[l] = counts.get(l, 0) + 1
+    assert counts == {5: 18, 6: 46, 7: 73}
+    sigma2_6 = [P(2)] * 6
+    assert inv.value(sigma2_6 + [P(2, 2)], 2) == 1
+    assert inv.value([P(1)] + sigma2_6 + [P(2, 2)], 2) == 2
 
 
 def test_gr36_correspondence_sample(store):
