@@ -557,20 +557,14 @@ def virtual_dim(space, d, m: int) -> int:
     return space.dim + space.c1_degree(d) + m - 3
 
 
-def _basis(space) -> list:
-    # the codimension of a basis element is the sum of its entries
-    # (exponents of a monomial, parts of a partition)
-    return [b for c in range(space.dim + 1) for b in space.basis_of_codim(c)]
-
-
 def admissible_tuples(space, m: int, d_max: int):
     """Yield (combo, d) for every multiset combo of m basis elements and
     curve class d of degree at most d_max that pass the dimension rule
     (virtual_dim).  The combos come in combinations_with_replacement order
-    over the basis, each followed by its curve classes in curve_classes
+    over space.basis, each followed by its curve classes in curve_classes
     order."""
     degrees = [(d, virtual_dim(space, d, m)) for d in space.curve_classes(d_max)]
-    for combo in itertools.combinations_with_replacement(_basis(space), m):
+    for combo in itertools.combinations_with_replacement(space.basis, m):
         codim = sum(map(sum, combo))
         for d, needed in degrees:
             if codim == needed:
@@ -588,16 +582,15 @@ def wdvv_identities(space, d_max: int, n_marks_max: int):
     invariants of at most n_marks_max - 1 marks and never test an
     n_marks_max-point invariant.
     """
-    basis = _basis(space)
     # the codimensions of quad and back add up to virtual_dim(space, d,
     # 3 + |back|): each background mark adds one to the rule at 3 marks
     backgrounds = [
         (back, sum(map(sum, back)) - len(back))
         for size in range(n_marks_max - 3)
-        for back in itertools.combinations_with_replacement(basis, size)
+        for back in itertools.combinations_with_replacement(space.basis, size)
     ]
     degrees = [(d, virtual_dim(space, d, 3)) for d in space.curve_classes(d_max)]
-    for quad in itertools.combinations_with_replacement(basis, 4):
+    for quad in itertools.combinations_with_replacement(space.basis, 4):
         quad_codim = sum(map(sum, quad))
         for back, back_excess in backgrounds:
             for d, needed in degrees:

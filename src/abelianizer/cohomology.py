@@ -23,7 +23,7 @@ from functools import cached_property
 from math import comb, factorial
 
 from . import sparse
-from .partitions import BoxSpec, Partition, _perm_sign, box_partitions, complement, schur_polynomial
+from .partitions import BoxSpec, Partition, _perm_sign, complement, schur_polynomial
 
 @dataclass(frozen=True)
 class ProductSpace:
@@ -45,11 +45,12 @@ class ProductSpace:
     def top(self) -> tuple[int, ...]:
         return (self.n - 1,) * self.k
 
-    def monomials(self):
-        """All basis monomials, ordered by total degree then lexicographically."""
-        out = list(itertools.product(range(self.n), repeat=self.k))
-        out.sort(key=lambda e: (sum(e), e))
-        return out
+    @cached_property
+    def basis(self) -> tuple:
+        """All basis monomials, by total degree and then lexicographically:
+        the one order of the monomial basis."""
+        monos = itertools.product(range(self.n), repeat=self.k)
+        return tuple(sorted(monos, key=lambda e: (sum(e), e)))
 
     def dual(self, e: tuple[int, ...]) -> tuple[int, ...]:
         """Poincare-dual monomial: int H^e * H^dual(e) = 1."""
@@ -60,13 +61,13 @@ class ProductSpace:
         return self.n * sum(d)
 
     def basis_of_codim(self, c: int) -> list:
-        """The basis monomials of total degree c, in the order of monomials()."""
+        """The basis monomials of total degree c, in the order of basis."""
         return self._basis_by_codim.get(c, [])
 
     @cached_property
     def _basis_by_codim(self) -> dict:
         table = {}
-        for mono in self.monomials():
+        for mono in self.basis:
             table.setdefault(sum(mono), []).append(mono)
         return table
 
@@ -211,11 +212,8 @@ def schubert_cup(lam: Partition, mu: Partition, box: BoxSpec) -> dict[Partition,
     c_{lam,mu}^nu = int_P omega^2 S_lam S_mu S_{nu^vee}.
     """
     product = cup(lift(lam, box), lift(mu, box))
-    w = lam.weight + mu.weight
     out = {}
-    for nu in box_partitions(box):
-        if nu.weight != w:
-            continue
+    for nu in box.basis_of_codim(lam.weight + mu.weight):
         c = martin_integral(cup(product, lift(complement(nu, box), box)), box)
         if c:
             out[nu] = c
@@ -245,7 +243,7 @@ def divide_by_delta(phi: PClass, box: BoxSpec) -> dict:
     k = box.k
     staircase = tuple(range(k - 1, -1, -1))
     coeffs = {}
-    for lam in box_partitions(box):
+    for lam in box.basis:
         e = tuple(lam.padded(k)[i] + staircase[i] for i in range(k))
         c = phi.terms.get(e, 0)
         if c:

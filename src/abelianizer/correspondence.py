@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import grassmannian
-from .partitions import BoxSpec, Partition, box_partitions, complement, epsilon, grlex_key, lifts
+from .partitions import BoxSpec, Partition, complement, epsilon, grlex_key, lifts
 from .cohomology import (
     PClass,
     add as cls_add,
@@ -40,7 +40,6 @@ from .cohomology import (
     cup,
     delta,
     lift,
-    martin_integral,
     root_classes,
     scale as cls_scale,
     space_of,
@@ -210,7 +209,6 @@ def evaluate_formula(tree: FormulaTree, partitions, d: int, box: BoxSpec,
         raise ValueError(f"tree has arity {tree.l}, got {len(parts)} partitions")
     if sum(p.weight for p in parts) != virtual_dim(box, d, tree.l):
         return Fraction(0)
-    basis = [a for c in range(box.dim + 1) for a in box.basis_of_codim(c)]
     realized = {OM_SLOT: OMEGA}
     for s, p in enumerate(parts):
         realized[("xi", s)], realized[("lom_s", s)] = Lifted(p), LiftedTimesOmega(p)
@@ -218,7 +216,8 @@ def evaluate_formula(tree: FormulaTree, partitions, d: int, box: BoxSpec,
     @functools.cache
     def table(child) -> list:
         # (s~_{a^vee}, the child contracted at a) for each a where that is nonzero
-        return [(Lifted(complement(a, box)), w) for a in basis if (w := contract(child, LiftedTimesOmega(a)))]
+        return [(Lifted(complement(a, box)), w)
+                for a in box.basis if (w := contract(child, LiftedTimesOmega(a)))]
 
     def contract(br, up) -> Fraction:
         # up: the parent's index a, realized as s~_a.w
@@ -285,8 +284,7 @@ def check_two_point(box: BoxSpec, d_max: int, store: MemoStore) -> list[dict]:
     """Compare Grassmannian 2-point invariants with the lifted bracket of the
     two omega-twisted insertions, all box pairs, 1 <= d <= d_max."""
     violations = []
-    parts = box_partitions(box)
-    for lam, mu in itertools.combinations_with_replacement(parts, 2):
+    for lam, mu in itertools.combinations_with_replacement(box.basis, 2):
         for d in range(1, d_max + 1):
             # dimension-violating pairs must come out 0 = 0; checked too
             gr = grassmannian.two_point(lam, mu, d, box)
@@ -323,16 +321,16 @@ def naive_vs_corrected(box: BoxSpec, d_max: int, store: MemoStore) -> dict:
     tree = generate_formula(4)
     instances = []
     for combo, d in admissible_tuples(box, 4, d_max):
-        ordered = sorted(combo, key=grlex_key)
+        parts = list(combo)
         naive = i_bracket(
-            [Lifted(ordered[0]), Lifted(ordered[1]),
-             LiftedTimesOmega(ordered[2]), LiftedTimesOmega(ordered[3])],
+            [Lifted(parts[0]), Lifted(parts[1]),
+             LiftedTimesOmega(parts[2]), LiftedTimesOmega(parts[3])],
             d, box, store,
         )
-        corrected = evaluate_formula(tree, ordered, d, box, store)
-        oracle = oracle_value(ordered, d, box)
+        corrected = evaluate_formula(tree, parts, d, box, store)
+        oracle = oracle_value(parts, d, box)
         instances.append(
-            {"partitions": ordered, "d": d, "naive": naive,
+            {"partitions": parts, "d": d, "naive": naive,
              "corrected": corrected, "oracle": oracle}
         )
     return {
@@ -358,7 +356,7 @@ def check_omega_triviality(box: BoxSpec, d_max: int) -> list[dict]:
     def specialized(a, b):
         return specialize_novikov(small_quantum_product(a, b), box.k)
 
-    for lam in box_partitions(box):
+    for lam in box.basis:
         got = specialized(dl, lift(lam, box))
         want = cup(dl, lift(lam, box))
         if got.get(0, PClass(space)) != want or any(d > 0 for d in got):
@@ -435,7 +433,7 @@ def mirror_map(box: BoxSpec, trunc: int, store: MemoStore) -> MirrorMapSeries:
     series plumbing is exact for any coefficients.
     """
     forward = {}
-    for lam in box_partitions(box):
+    for lam in box.basis:
         series = {}
         for d in range(1, trunc + 1):
             c = i_bracket([LiftedTimesOmega(complement(lam, box)), OMEGA], d, box, store)
@@ -509,17 +507,11 @@ class AssembledInvariants:
         if key in self.cache:
             return self.cache[key]
         m = len(parts)
-        box = self.box
-        if d == 0:
-            if m == 3:
-                prod = lift(parts[0], box)
-                for p in parts[1:]:
-                    prod = cup(prod, lift(p, box))
-                val = martin_integral(prod, box)
-            else:
-                val = Fraction(0)
+        if d == 0 and m > 3:
+            # degree-0 invariants with 4 or more marks vanish
+            val = Fraction(0)
         else:
-            val = evaluate_formula(self.tree(m), parts, d, box, self.store)
+            val = evaluate_formula(self.tree(m), parts, d, self.box, self.store)
             if self.corrupt_epsilon and m == 4 and d % 2:
                 val = -val
         self.cache[key] = val

@@ -17,7 +17,6 @@ from .partitions import (
     BoxSpec,
     Partition,
     RIM_HOOK_SIGN_RULES,
-    box_partitions,
     complement,
     grlex_key,
     rim_hook_reduce,
@@ -113,8 +112,7 @@ def calibrate_rim_hook_sign(d_max: int = 2) -> dict[str, bool]:
     for rule in RIM_HOOK_SIGN_RULES:
         ok = True
         for box in (BoxSpec(2, 4), BoxSpec(2, 5)):
-            parts = box_partitions(box)
-            for lam, mu in itertools.combinations_with_replacement(parts, 2):
+            for lam, mu in itertools.combinations_with_replacement(box.basis, 2):
                 terms = quantum_cup(lam, mu, box, rule).terms
                 if any(v < 0 for (q, _), v in terms.items() if q <= d_max):
                     ok = False
@@ -168,7 +166,7 @@ class FundamentalSolution:
     matrices {(row, col): c}; each R_d is a z-series of them.
     """
 
-    basis: list
+    basis: tuple
     D: dict
     A: dict
     R: dict = field(default_factory=dict)
@@ -224,7 +222,7 @@ def divisor_matrices(box: BoxSpec):
     Returns (basis, D, {d: A_d}) with sparse matrices {(row, col): c}:
     column lam holds sigma_1 * sigma_lam expanded over the basis.
     """
-    basis = box_partitions(box)
+    basis = box.basis
     index = {lam: i for i, lam in enumerate(basis)}
     D: dict = {}
     A: dict[int, dict] = {}

@@ -10,11 +10,10 @@ requested depths are guarantees, not cutoffs.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .partitions import BoxSpec, Partition, binomial_fraction, box_partitions, epsilon, lifts
+from .partitions import BoxSpec, Partition, binomial_fraction, epsilon, lifts
 from .cohomology import (
     PClass,
     ProductSpace,
@@ -79,9 +78,7 @@ def j_function_P(space: ProductSpace, d_total_max: int) -> dict[tuple, dict]:
     k = space.k
     sol = _projective_solution(space.n)
     out = {}
-    for dt in itertools.product(range(d_total_max + 1), repeat=k):
-        if sum(dt) > d_total_max:
-            continue
+    for dt in space.curve_classes(d_total_max):
         acc = {1: {(0,) * k: Fraction(1)}}
         for i in range(k):
             acc = series_mul(acc, _on_factor(sol.column(dt[i], 0), i, k))
@@ -208,7 +205,7 @@ def solve_c_coefficients(iseries: ISeries, fund: FundamentalSolution, box: BoxSp
     if d_max is None:
         d_max = iseries.d_max
     space = space_of(box)
-    basis = box_partitions(box)
+    basis = box.basis
     r = c_squared(box.k)
 
     # Gr side building blocks: G[e][lam] = lift(R_e column_lam) * Delta as a z-series

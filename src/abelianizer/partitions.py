@@ -65,14 +65,20 @@ class BoxSpec:
         """Poincare-dual Schubert class: the complement in the box."""
         return complement(lam, self)
 
+    @cached_property
+    def basis(self) -> tuple:
+        """All partitions fitting the box, by weight and then
+        reverse-lexicographically: the one order of the Schubert basis."""
+        return tuple(sorted(map(Partition, _partitions_in_box(self.k, self.cols)), key=grlex_key))
+
     def basis_of_codim(self, c: int) -> list:
-        """The box partitions of weight c, in the fixed total order."""
+        """The box partitions of weight c, in the order of basis."""
         return self._basis_by_codim.get(c, [])
 
     @cached_property
     def _basis_by_codim(self) -> dict:
         table = {}
-        for lam in box_partitions(self):
+        for lam in self.basis:
             table.setdefault(lam.weight, []).append(lam)
         return table
 
@@ -150,10 +156,8 @@ def _partitions_in_box(rows: int, cols: int):
 
 
 def box_partitions(box: BoxSpec) -> list[Partition]:
-    """All partitions fitting the k x (n-k) box, in the fixed total order."""
-    out = [Partition(p) for p in _partitions_in_box(box.k, box.cols)]
-    out.sort(key=grlex_key)
-    return out
+    """All partitions fitting the k x (n-k) box: box.basis as a list."""
+    return list(box.basis)
 
 
 def complement(lam: Partition, box: BoxSpec) -> Partition:

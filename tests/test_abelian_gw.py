@@ -61,7 +61,7 @@ def test_small_ring_unit():
 @given(st.data())
 def test_small_ring_associative(data):
     space = data.draw(st.sampled_from([PP, P3, P2]))
-    monos = space.monomials()
+    monos = space.basis
 
     def rand_class():
         terms = {}
@@ -99,14 +99,14 @@ def test_three_point_examples():
 def test_three_point_closed_form_matches_quantum_ring(space):
     # the base case of _gw, factor by factor, against the small quantum ring
     store, nonzero = MemoStore(), 0
-    for triple in itertools.combinations_with_replacement(space.monomials(), 3):
+    for triple in itertools.combinations_with_replacement(space.basis, 3):
         a, b, c = (mono(space, e) for e in triple)
         for d in space.curve_classes(3):
             want = three_point(a, b, c, d)
             assert _gw(space, tuple(sorted(triple, reverse=True)), d, store, "default", None) == want, \
                 (triple, d)
             nonzero += want != 0
-    assert nonzero >= len(space.monomials()), nonzero
+    assert nonzero >= len(space.basis), nonzero
 
 
 def _filtered_loops(space, m, d_max):
@@ -115,7 +115,7 @@ def _filtered_loops(space, m, d_max):
         basis = box_partitions(space)
         needed = {d: space.dim + space.n * d + m - 3 for d in range(d_max + 1)}
     else:
-        basis = space.monomials()
+        basis = space.basis
         needed = {d: space.k * (space.n - 1) + space.n * sum(d) + m - 3
                   for d in space.curve_classes(d_max)}
     return [(combo, d)
@@ -222,7 +222,7 @@ def test_pivot_policy_independence_random(data):
     space = data.draw(st.sampled_from([PP, P2]))
     d = tuple(data.draw(st.integers(0, 2)) for _ in range(space.k))
     m = data.draw(st.integers(4, 6))
-    monos = [e for e in space.monomials() if sum(e) >= 1]
+    monos = [e for e in space.basis if sum(e) >= 1]
     needed = space.dim + space.c1_degree(d) + m - 3
     admissible = [ins for ins in itertools.combinations_with_replacement(monos, m)
                   if sum(map(sum, ins)) == needed]
@@ -242,7 +242,7 @@ def test_pivot_policy_independence_random(data):
 def test_ring_consistency_roundtrip(store):
     # three-point structure constants reassemble the small product
     for space in (PP, P3):
-        monos = space.monomials()
+        monos = space.basis
         for ea, eb in itertools.combinations_with_replacement(monos, 2):
             if sum(ea) + sum(eb) > 3:
                 continue

@@ -106,6 +106,26 @@ def test_lift_examples():
         lift(P(3), box)
 
 
+@pytest.mark.parametrize("space",
+                         [BoxSpec(1, 4), BoxSpec(2, 4), BoxSpec(2, 5), BoxSpec(3, 6), ProductSpace(2, 2)],
+                         ids=["Gr(1,4)", "Gr(2,4)", "Gr(2,5)", "Gr(3,6)", "(P1)^2"])
+def test_basis_is_the_documented_enumeration(space):
+    # written out here, independently of the package's enumerators
+    if isinstance(space, BoxSpec):
+        # weakly decreasing rows of at most n - k boxes, by weight and then
+        # reverse-lexicographically
+        rows = itertools.product(range(space.n - space.k + 1), repeat=space.k)
+        want = [Partition(p) for p in sorted((p for p in rows if list(p) == sorted(p, reverse=True)),
+                                             key=lambda p: (sum(p), [-x for x in p]))]
+        assert box_partitions(space) == list(space.basis)
+    else:
+        # exponent vectors below n, by total degree and then lexicographically
+        want = sorted(itertools.product(range(space.n), repeat=space.k), key=lambda e: (sum(e), e))
+    assert space.basis == tuple(want)
+    assert [b for c in range(space.dim + 1) for b in space.basis_of_codim(c)] == want
+    assert space.basis is space.basis
+
+
 def test_schubert_cup_examples():
     box = BoxSpec(2, 4)
     assert schubert_cup(P(1), P(1), box) == {P(2): 1, P(1, 1): 1}

@@ -476,6 +476,20 @@ def test_assembled_wdvv_negative_control(store):
     assert assemble_and_check_wdvv(B24, 2, 6, store, corrupt_epsilon=True) != []
 
 
+@pytest.mark.parametrize("box", [BoxSpec(2, 4), BoxSpec(2, 5), BoxSpec(3, 6)],
+                         ids=["Gr(2,4)", "Gr(2,5)", "Gr(3,6)"])
+def test_assembled_degree_zero(box, store):
+    # at 3 marks the formula tree against Martin's integral of the cup of the
+    # lifts; at 4 and 5 marks the degree-0 vanishing
+    inv = AssembledInvariants(box, store)
+    for (lam, mu, nu), _ in admissible_tuples(box, 3, 0):
+        want = martin_integral(cup(cup(lift(lam, box), lift(mu, box)), lift(nu, box)), box)
+        assert inv.value((lam, mu, nu), 0) == want, (lam, mu, nu)
+    for m in (4, 5):
+        for combo, _ in admissible_tuples(box, m, 0):
+            assert inv.value(combo, 0) == 0, combo
+
+
 def test_assembled_matches_divisor_chain(store):
     # <s1, lam, mu, nu>_d = d * <lam, mu, nu>_d through the assembled table
     inv = AssembledInvariants(B24, store)
