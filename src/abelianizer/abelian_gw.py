@@ -9,10 +9,13 @@ is 0 unless 0 <= ex_i <= m - 3 for every i and ex_i = 0 wherever d_i = 0
 (a degree-0 factor gives a class in H^0(M-bar_{0,m})), and at m = 3 it is
 then 1 (three_point, from the small quantum ring, is the reference).
 kunneth_allows is this rule; _gw applies it before the store, so no
-3-mark or forbidden key is looked up, reconstructed or stored.  Invariants
-with four or more insertions are reconstructed through the divisor
-relation and the associativity (WDVV) constraints of the big quantum
-product, with exact memoization.
+3-mark or forbidden key is looked up, reconstructed or stored.  For
+classes it makes a 3-mark bracket <A, B, C>_d the coefficient of
+prod_i H_i^(n-1+n d_i) in the product A B C, and with the divisor axiom a
+2-mark one a coefficient of A B (gw_of_classes), so neither is expanded
+term by term.  Invariants with four or more insertions are reconstructed
+through the divisor relation and the associativity (WDVV) constraints of
+the big quantum product, with exact memoization.
 
 WDVV bookkeeping.  For basis elements u, v, x, y, a background multiset B
 and a curve class d, put
@@ -65,11 +68,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 import threading
 from collections import Counter
 from fractions import Fraction
 
+from . import sparse
 from .cohomology import PClass, ProductSpace, cup, integrate
 
 Mono = tuple  # exponent vector of a basis monomial
@@ -642,10 +647,19 @@ def two_point(space: ProductSpace, a: Mono, b: Mono, d: tuple, store: MemoStore)
 
 def gw_of_classes(space: ProductSpace, classes, d: tuple, store: MemoStore):
     """Multilinear extension of gw_invariant to PClass insertions, exact in
-    the classes' own coefficients (int for lifts and Delta).  Two-mark
-    brackets route through the divisor axiom (two_point).
+    the classes' own coefficients (int for lifts and Delta).
+
+    Two and three marks are coefficients of one product (_product_bracket):
+    by the product formula <A, B, C>_d is the coefficient of
+    prod_i H_i^(n-1+n d_i) in the product A B C taken without H_i^n = 0, and
+    by the divisor axiom <A, B>_d (d != 0) is the coefficient of that
+    monomial over H_i in A B, divided by d_i, for the H_i that two_point
+    inserts.  Other arities expand term by term: fewer than two marks give 0
+    or _gw's ValueError, four or more are reconstructed through the store.
     """
     d = tuple(d)
+    if len(classes) in (2, 3):
+        return _product_bracket(space, classes, d)
     total = 0
     term_lists = [list(cls.terms.items()) for cls in classes]
     if any(not t for t in term_lists):
@@ -656,13 +670,28 @@ def gw_of_classes(space: ProductSpace, classes, d: tuple, store: MemoStore):
         if sum(sum(e) for e in monos) != needed:
             continue
         coeff = math.prod([c for _, c in combo])
-        if len(classes) == 2:
-            if not any(d):
-                continue  # unstable; degree-0 two-point never contributes here
-            total += coeff * two_point(space, monos[0], monos[1], d, store)
-        else:
-            total += coeff * _gw(space, tuple(sorted(monos, reverse=True)), d, store, "default", None)
+        total += coeff * _gw(space, tuple(sorted(monos, reverse=True)), d, store, "default", None)
     return total
+
+
+def _product_bracket(space: ProductSpace, classes, d: tuple):
+    """<classes>_d for two or three classes, as one coefficient of their
+    product (see gw_of_classes): 0 at a negative multidegree, and at degree
+    0 with two marks, where two_point is undefined."""
+    two = len(classes) == 2
+    if min(d) < 0 or two and not any(d):
+        return 0
+    n = space.n
+    target = [n - 1 + n * x for x in d]
+    if two:
+        i = next(j for j, x in enumerate(d) if x > 0)
+        target[i] -= 1
+    *first, last = sorted(classes, key=lambda cls: len(cls.terms))
+    prod = first[0].terms if two else sparse.mul(first[0].terms, first[1].terms)
+    total = sum(c * prod.get(tuple(map(operator.sub, target, e)), 0) for e, c in last.terms.items())
+    # the H_i exponent n - 2 + n d_i of the target is at most 2(n - 1) only
+    # at d_i = 1, so a nonzero two-mark value is divided by 1
+    return Fraction(total, d[i]) if two else total
 
 
 def check_wdvv(space: ProductSpace, d_total_max: int, n_marks_max: int, store: MemoStore) -> list[dict]:

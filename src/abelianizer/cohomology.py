@@ -19,8 +19,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import comb, factorial
+from types import MappingProxyType
 
 from . import sparse
 from .partitions import BoxSpec, Partition, _perm_sign, complement, schur_polynomial
@@ -171,11 +172,17 @@ def weyl_action(perm: tuple[int, ...], a: PClass) -> PClass:
     return PClass(a.space, terms)
 
 
+@cache
 def delta(space: ProductSpace) -> PClass:
-    """The Vandermonde product prod_{i<j} (H_i - H_j)."""
+    """The Vandermonde product prod_{i<j} (H_i - H_j).
+
+    Built once per space and shared, like schur_polynomial: its terms are
+    read-only, so a caller that tries to change them gets a TypeError.
+    """
     out = unit(space)
     for root in root_classes(space):
         out = cup(out, root)
+    out.terms = MappingProxyType(out.terms)
     return out
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import os
 import random
 from collections import Counter
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from abelianizer import abelian_gw
-from abelianizer.cohomology import PClass, ProductSpace, add, cup, scale, unit, variable
+from abelianizer.cohomology import PClass, ProductSpace, add, cup, delta, lift, scale, space_of, unit, variable
 from abelianizer.abelian_gw import (
     CacheConsistencyError,
     CacheFormatError,
@@ -24,11 +25,12 @@ from abelianizer.abelian_gw import (
     sub_multisets,
     three_point,
     two_point,
+    virtual_dim,
     wdvv_contraction,
     wdvv_identities,
 )
 from abelianizer.correspondence import AssembledInvariants
-from abelianizer.partitions import BoxSpec, box_partitions
+from abelianizer.partitions import BoxSpec, box_partitions, lifts
 
 P3 = ProductSpace(1, 4)
 PP = ProductSpace(2, 2)
@@ -290,6 +292,99 @@ def test_gw_of_classes_bilinear(store):
     v1 = gw_of_classes(PP, [mono(PP, (1, 0)), pt, pt, pt], (1, 1), store)
     v2 = gw_of_classes(PP, [mono(PP, (0, 1)), pt, pt, pt], (1, 1), store)
     assert v == v1 + v2 == 2
+
+
+def reference_gw_of_classes(space, classes, d, store):
+    """gw_of_classes as the multilinear loop over every choice of one term
+    per class, each monomial bracket through two_point (2 marks) or _gw."""
+    d = tuple(d)
+    total = 0
+    term_lists = [list(cls.terms.items()) for cls in classes]
+    if any(not t for t in term_lists):
+        return 0
+    needed = virtual_dim(space, d, len(classes))
+    for combo in itertools.product(*term_lists):
+        monos = [e for e, _ in combo]
+        if sum(sum(e) for e in monos) != needed:
+            continue
+        coeff = math.prod([c for _, c in combo])
+        if len(classes) == 2:
+            if not any(d):
+                continue  # unstable; degree-0 two-point never contributes here
+            total += coeff * two_point(space, monos[0], monos[1], d, store)
+        else:
+            total += coeff * _gw(space, tuple(sorted(monos, reverse=True)), d, store, "default", None)
+    return total
+
+
+@pytest.mark.parametrize("box, d_max", [(BoxSpec(2, 4), 2), (BoxSpec(2, 5), 2), (BoxSpec(3, 5), 2),
+                                        (BoxSpec(3, 6), 1)])
+def test_gw_of_classes_matches_combo_loop(box, d_max):
+    # every 2- and 3-mark lifted bracket with at most two omegas, at every
+    # multidegree lift of d <= d_max, as i_bracket builds its classes.  Off
+    # the dimension rule the loop meets no combo (the classes are
+    # homogeneous) and the product has no term of the target's degree, so
+    # only the admissible ones are compared term by term.  The lift sums of
+    # the odd-omega brackets are checked to vanish, as i_bracket asserts.
+    space = space_of(box)
+    dl = delta(space)
+    om = math.comb(box.k, 2)
+    insertions = [(lam, w) for lam in box.basis for w in (0, 1)]
+    classes = {(lam, w): cup(lift(lam, box), dl) if w else lift(lam, box) for lam, w in insertions}
+    store, seen = MemoStore(), Counter()
+    for m in (2, 3):
+        for marks in itertools.combinations_with_replacement(insertions, m):
+            omegas = sum(w for _, w in marks)
+            if omegas > 2:
+                continue
+            codim = sum(lam.weight + om * w for lam, w in marks)
+            cls = [classes[i] for i in marks]
+            for d in range(d_max + 1):
+                summed = 0
+                for dd in lifts(d, box.k):
+                    if codim != virtual_dim(space, dd, m):
+                        continue
+                    got = gw_of_classes(space, cls, dd, store)
+                    assert got == reference_gw_of_classes(space, cls, dd, store), (marks, dd)
+                    summed += got
+                    seen[m, omegas, bool(got)] += 1
+                if omegas % 2:
+                    assert summed == 0, (marks, d)
+    # a lift's exponents stay below n - 1 (k >= 2), so a nonzero 2-mark
+    # bracket takes H_i^(n-1) from Delta in both marks.  At k = 3, d <= 2
+    # every lift has two equal entries, and the transposition of them flips
+    # the sign of an odd-omega value, so each such value is 0
+    nonzero = {(m, omegas) for m, omegas, nz in seen if nz}
+    assert nonzero == {(2, 2), (3, 0), (3, 2)} | ({(3, 1)} if box.k == 2 else set()), seen
+    assert len(store) == 0  # 2- and 3-mark keys never reach the store
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_gw_of_classes_fraction_coefficients(data):
+    # random classes, not homogeneous, with Fraction coefficients, against
+    # the combo loop at 2 and 3 marks
+    k, n = data.draw(st.sampled_from([(1, 3), (2, 2), (2, 3), (3, 2)]))
+    space = ProductSpace(k, n)
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    term = st.tuples(*[st.integers(0, n - 1)] * k)
+    cls = st.dictionaries(term, coeff, max_size=4).map(lambda t: PClass(space, t))
+    classes = data.draw(st.lists(cls, min_size=2, max_size=3))
+    d = data.draw(st.tuples(*[st.integers(0, 2)] * k))
+    want = reference_gw_of_classes(space, classes, d, MemoStore())
+    assert gw_of_classes(space, classes, d, MemoStore()) == want
+
+
+def test_gw_of_classes_two_marks_by_the_divisor_axiom():
+    # <pt/3, H + pt>_1 on P^2 is a third of the one line through two points;
+    # at degree 0 and at a negative degree a 2- or 3-mark bracket is 0
+    store = MemoStore()
+    h, pt = mono(P2, (1,)), mono(P2, (2,))
+    assert gw_of_classes(P2, [pt, pt], (1,), store) == 1
+    assert gw_of_classes(P2, [scale(pt, Fraction(1, 3)), add(h, pt)], (1,), store) == Fraction(1, 3)
+    assert gw_of_classes(P2, [h, h], (0,), store) == 0
+    assert gw_of_classes(PP, [mono(PP, (1, 1)), mono(PP, (0, 0))], (-1, 1), store) == 0
+    assert gw_of_classes(PP, [mono(PP, (1, 1))] * 3, (-1, 2), store) == 0
 
 
 def test_memo_store_roundtrip(tmp_path, store):

@@ -69,6 +69,16 @@ def test_omega_examples():
     assert c_squared(3) == Fraction(-1, 6)
 
 
+def test_delta_is_built_once_and_read_only():
+    # every caller shares the one Delta of a space, so writing to it must
+    # fail rather than change the brackets computed after it
+    dl = delta(ProductSpace(2, 4))
+    assert delta(ProductSpace(2, 4)) is dl
+    with pytest.raises(TypeError):
+        dl.terms[(1, 0)] = 2
+    assert dl.terms == {(1, 0): 1, (0, 1): -1}
+
+
 def test_integrate_examples():
     top = monomial(S24, (3, 3))
     assert integrate(top) == 1
