@@ -224,15 +224,19 @@ class MemoStore:
         the next save then rewrites the file without it.
 
         Raises CacheVersionError on a wrong header, and CacheFormatError on a
+        path that is a directory or a file that is not UTF-8 text, on a
         malformed entry (k < 1, n < 2, a number < 0, a multidegree or a mark of
         other than k entries, an exponent >= n, fewer than 3 marks), on a
         non-integral value, and on an entry that contradicts the product
         formula, another entry or this store; the store is then unchanged.
         """
         path = path or self.path
-        with open(path) as fh:
-            stamp = _file_stamp(os.fstat(fh.fileno()))
-            header, _, body = fh.read().partition("\n")
+        try:
+            with open(path) as fh:
+                stamp = _file_stamp(os.fstat(fh.fileno()))
+                header, _, body = fh.read().partition("\n")
+        except (UnicodeDecodeError, IsADirectoryError) as exc:
+            raise CacheFormatError(f"{path}: not a cache file: {exc}") from None
         if header != self.VERSION:
             raise CacheVersionError(f"expected {self.VERSION!r}, found {header!r}")
         entries, pieces, values, dropped = {}, ({}, {}), {}, False

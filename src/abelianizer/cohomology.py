@@ -24,10 +24,10 @@ from math import comb, factorial
 from types import MappingProxyType
 
 from . import sparse
-from .partitions import BoxSpec, Partition, _perm_sign, complement, schur_polynomial
+from .partitions import BoxSpec, GradedBasis, Partition, _perm_sign, complement, schur_polynomial
 
 @dataclass(frozen=True)
-class ProductSpace:
+class ProductSpace(GradedBasis):
     """(P^{n-1})^k.  Unlike BoxSpec there is no k < n constraint, so this
     also covers self-products such as P^1 x P^1."""
 
@@ -60,17 +60,6 @@ class ProductSpace:
     def c1_degree(self, d: tuple[int, ...]) -> int:
         """Pairing of c_1(T) with a multidegree: n per unit of each factor."""
         return self.n * sum(d)
-
-    def basis_of_codim(self, c: int) -> list:
-        """The basis monomials of total degree c, in the order of basis."""
-        return self._basis_by_codim.get(c, [])
-
-    @cached_property
-    def _basis_by_codim(self) -> dict:
-        table = {}
-        for mono in self.basis:
-            table.setdefault(sum(mono), []).append(mono)
-        return table
 
     def curve_classes(self, d_max: int) -> list:
         """Multidegrees of total degree at most d_max."""
@@ -172,6 +161,11 @@ def weyl_action(perm: tuple[int, ...], a: PClass) -> PClass:
     return PClass(a.space, terms)
 
 
+def _read_only(a: PClass) -> PClass:
+    a.terms = MappingProxyType(a.terms)
+    return a
+
+
 @cache
 def delta(space: ProductSpace) -> PClass:
     """The Vandermonde product prod_{i<j} (H_i - H_j).
@@ -182,8 +176,7 @@ def delta(space: ProductSpace) -> PClass:
     out = unit(space)
     for root in root_classes(space):
         out = cup(out, root)
-    out.terms = MappingProxyType(out.terms)
-    return out
+    return _read_only(out)
 
 
 def root_classes(space: ProductSpace) -> list[PClass]:
@@ -198,11 +191,20 @@ def root_classes(space: ProductSpace) -> list[PClass]:
     return out
 
 
+@cache
 def lift(lam: Partition, box: BoxSpec) -> PClass:
-    """Schur lift of a Schubert class: S_lam(H_1, ..., H_k)."""
+    """Schur lift of a Schubert class: S_lam(H_1, ..., H_k).  Built once
+    per (lam, box) and shared read-only, like delta."""
     if not lam.fits(box):
         raise ValueError(f"{lam} does not fit {box.k}x{box.cols} box")
-    return PClass(space_of(box), schur_polynomial(lam, box.k))
+    return _read_only(PClass(space_of(box), schur_polynomial(lam, box.k)))
+
+
+@cache
+def bialternant(lam: Partition, box: BoxSpec) -> PClass:
+    """The bialternant S_lam * Delta: sigma_lam * omega without its c.
+    Built once per (lam, box) and shared read-only, like delta."""
+    return _read_only(cup(lift(lam, box), delta(space_of(box))))
 
 
 def martin_integral(a: PClass, box: BoxSpec) -> Fraction:
@@ -256,9 +258,8 @@ def divide_by_delta(phi: PClass, box: BoxSpec) -> dict:
         if c:
             coeffs[lam] = c
     recon = PClass(space)
-    d = delta(space)
     for lam, c in coeffs.items():
-        recon = add(recon, scale(cup(lift(lam, box), d), c))
+        recon = add(recon, scale(bialternant(lam, box), c))
     if recon.terms != phi.terms:
         raise ValueError("class is not in the span of {S_lam * Delta}")
     return coeffs

@@ -36,6 +36,7 @@ from .partitions import BoxSpec, Partition, complement, epsilon, grlex_key, lift
 from .cohomology import (
     PClass,
     add as cls_add,
+    bialternant,
     c_squared,
     cup,
     delta,
@@ -97,8 +98,7 @@ def i_bracket(insertions, d: int, box: BoxSpec, store: MemoStore, eps_off: bool 
         return value
     space = space_of(box)
     omegas = sum(i.omega for i in ins)
-    dl = delta(space) if omegas else None
-    classes = [cup(lift(i.lam, box), dl) if i.omega else lift(i.lam, box) for i in ins]
+    classes = [bialternant(i.lam, box) if i.omega else lift(i.lam, box) for i in ins]
     total = 0
     for dd in lifts(d, box.k):
         total += gw_of_classes(space, classes, dd, store)
@@ -358,8 +358,7 @@ def check_omega_triviality(box: BoxSpec, d_max: int) -> list[dict]:
 
     for lam in box.basis:
         got = specialized(dl, lift(lam, box))
-        want = cup(dl, lift(lam, box))
-        if got.get(0, PClass(space)) != want or any(d > 0 for d in got):
+        if got.get(0, PClass(space)) != bialternant(lam, box) or any(d > 0 for d in got):
             violations.append({"check": "omega-cup", "lam": lam, "got": got})
 
     roots = root_classes(space)

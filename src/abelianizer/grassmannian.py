@@ -12,13 +12,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
+from types import MappingProxyType
 
 from .partitions import (
     BoxSpec,
     Partition,
     RIM_HOOK_SIGN_RULES,
     complement,
-    grlex_key,
     rim_hook_reduce,
     schur_polynomial,
 )
@@ -48,41 +49,21 @@ def schur_expand_product(lam: Partition, mu: Partition, k: int) -> dict[Partitio
     return out
 
 
-class QSchubertVector:
-    """Element of QH^*(Gr(k,n)): {(q_power, partition): Fraction}."""
-
-    __slots__ = ("box", "terms")
-
-    def __init__(self, box: BoxSpec, terms=None):
-        self.box = box
-        self.terms = {kq: Fraction(v) for kq, v in (terms or {}).items() if v}
-
-    def coefficient(self, q_power: int, lam: Partition) -> Fraction:
-        return self.terms.get((q_power, lam), Fraction(0))
-
-    def __eq__(self, other):
-        return isinstance(other, QSchubertVector) and self.box == other.box and self.terms == other.terms
-
-    def __repr__(self):
-        bits = [
-            f"{v}*q^{q}*s{lam}"
-            for (q, lam), v in sorted(self.terms.items(), key=lambda t: (t[0][0], grlex_key(t[0][1])))
-        ]
-        return " + ".join(bits) or "0"
-
-
-def quantum_cup(lam: Partition, mu: Partition, box: BoxSpec, rule: str = None) -> QSchubertVector:
-    """Small quantum product sigma_lam * sigma_mu via rim-hook reduction;
-    rule is rim_hook_reduce's per-hook sign rule."""
+@cache
+def quantum_cup(lam: Partition, mu: Partition, box: BoxSpec, rule: str = None) -> MappingProxyType:
+    """Small quantum product sigma_lam * sigma_mu via rim-hook reduction, as
+    {(q power, partition): int}; rule is rim_hook_reduce's per-hook sign
+    rule.  Computed once per argument tuple and shared read-only, like
+    schur_polynomial."""
     if not (lam.fits(box) and mu.fits(box)):
         raise ValueError("partitions must fit the box")
-    terms: dict[tuple, Fraction] = {}
+    terms: dict[tuple, int] = {}
     for nu, c in schur_expand_product(lam, mu, box.k).items():
         sign, q_power, reduced = rim_hook_reduce(nu, box, rule=rule)
         if reduced is None:
             continue
         add_term(terms, (q_power, reduced), sign * c)
-    return QSchubertVector(box, terms)
+    return MappingProxyType(terms)
 
 
 def three_point(lam: Partition, mu: Partition, nu: Partition, d: int, box: BoxSpec) -> Fraction:
@@ -91,7 +72,7 @@ def three_point(lam: Partition, mu: Partition, nu: Partition, d: int, box: BoxSp
         return Fraction(0)
     if lam.weight + mu.weight + nu.weight != box.dim + box.n * d:
         return Fraction(0)
-    return quantum_cup(lam, mu, box).coefficient(d, complement(nu, box))
+    return Fraction(quantum_cup(lam, mu, box).get((d, complement(nu, box)), 0))
 
 
 def two_point(lam: Partition, mu: Partition, d: int, box: BoxSpec) -> Fraction:
@@ -113,7 +94,7 @@ def calibrate_rim_hook_sign(d_max: int = 2) -> dict[str, bool]:
         ok = True
         for box in (BoxSpec(2, 4), BoxSpec(2, 5)):
             for lam, mu in itertools.combinations_with_replacement(box.basis, 2):
-                terms = quantum_cup(lam, mu, box, rule).terms
+                terms = quantum_cup(lam, mu, box, rule)
                 if any(v < 0 for (q, _), v in terms.items() if q <= d_max):
                     ok = False
                     break
@@ -227,7 +208,7 @@ def divisor_matrices(box: BoxSpec):
     D: dict = {}
     A: dict[int, dict] = {}
     for j, lam in enumerate(basis):
-        for (q, rho), c in quantum_cup(SIGMA_1, lam, box).terms.items():
+        for (q, rho), c in quantum_cup(SIGMA_1, lam, box).items():
             mat = D if q == 0 else A.setdefault(q, {})
             mat[index[rho], j] = c
     return basis, D, A

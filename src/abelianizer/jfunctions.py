@@ -10,6 +10,7 @@ requested depths are guarantees, not cutoffs.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -17,11 +18,10 @@ from .partitions import BoxSpec, Partition, binomial_fraction, epsilon, lifts
 from .cohomology import (
     PClass,
     ProductSpace,
+    bialternant,
     c_squared,
-    cup,
-    delta,
     divide_by_delta,
-    lift,
+    root_classes,
     space_of,
 )
 from .grassmannian import FundamentalSolution
@@ -139,20 +139,18 @@ class ISeries:
 def i_function(box: BoxSpec, d_max: int) -> ISeries:
     space = space_of(box)
     jp = j_function_P(space, d_max)
+    # the positive roots H_i - H_j, in the order of root_classes
+    roots = list(zip(itertools.combinations(range(space.k), 2), root_classes(space)))
     coeffs = {}
     for d in range(d_max + 1):
         acc = {}
         for dt in lifts(d, space.k):
             term = jp[dt]
-            for i in range(space.k):
-                for j in range(i + 1, space.k):
-                    ei = tuple(1 if t == i else 0 for t in range(space.k))
-                    ej = tuple(1 if t == j else 0 for t in range(space.k))
-                    root = {0: {ei: Fraction(1), ej: Fraction(-1)}}
-                    const = dt[i] - dt[j]
-                    if const:
-                        root[1] = {(0,) * space.k: Fraction(const)}
-                    term = series_mul(term, root, cap=space.n)
+            for (i, j), root in roots:
+                factor = {0: root.terms}
+                if dt[i] != dt[j]:
+                    factor[1] = {(0,) * space.k: Fraction(dt[i] - dt[j])}
+                term = series_mul(term, factor, cap=space.n)
             acc = series_add(acc, term)
         coeffs[d] = series_add({}, acc, (-1) ** epsilon(d, box.k))
     return ISeries(box, d_max, coeffs)
@@ -209,7 +207,6 @@ def solve_c_coefficients(iseries: ISeries, fund: FundamentalSolution, box: BoxSp
     r = c_squared(box.k)
 
     # Gr side building blocks: G[e][lam] = lift(R_e column_lam) * Delta as a z-series
-    dl = delta(space)
     gr_cols: dict[int, dict[Partition, dict]] = {}
     for e in range(d_max + 1):
         cols = {}
@@ -218,7 +215,7 @@ def solve_c_coefficients(iseries: ISeries, fund: FundamentalSolution, box: BoxSp
             for zp, rows in fund.column(e, j).items():
                 vec = {}
                 for i, c in rows.items():
-                    vec = add(vec, cup(lift(basis[i], box), dl).terms, c)
+                    vec = add(vec, bialternant(basis[i], box).terms, c)
                 if vec:
                     lp[zp] = vec
             cols[lam] = lp

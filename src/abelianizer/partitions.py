@@ -32,8 +32,25 @@ RIM_HOOK_SIGN_RULE = "k_minus_height"
 RIM_HOOK_SIGN_RULES = ("k_minus_height", "height_minus_one")
 
 
+class GradedBasis:
+    """The grading of a space's basis, shared by BoxSpec and ProductSpace:
+    an element's codimension is the sum of its entries (a Partition is the
+    tuple of its parts, a monomial its exponent vector)."""
+
+    def basis_of_codim(self, c: int) -> list:
+        """The basis elements of codimension c, in the order of basis."""
+        return self._basis_by_codim.get(c, [])
+
+    @cached_property
+    def _basis_by_codim(self) -> dict:
+        table = {}
+        for b in self.basis:
+            table.setdefault(sum(b), []).append(b)
+        return table
+
+
 @dataclass(frozen=True)
-class BoxSpec:
+class BoxSpec(GradedBasis):
     """The k x (n-k) rectangle indexing the Schubert basis of Gr(k, n)."""
 
     k: int
@@ -70,17 +87,6 @@ class BoxSpec:
         """All partitions fitting the box, by weight and then
         reverse-lexicographically: the one order of the Schubert basis."""
         return tuple(sorted(map(Partition, _partitions_in_box(self.k, self.cols)), key=grlex_key))
-
-    def basis_of_codim(self, c: int) -> list:
-        """The box partitions of weight c, in the order of basis."""
-        return self._basis_by_codim.get(c, [])
-
-    @cached_property
-    def _basis_by_codim(self) -> dict:
-        table = {}
-        for lam in self.basis:
-            table.setdefault(lam.weight, []).append(lam)
-        return table
 
     def curve_classes(self, d_max: int):
         """Curve classes of degree at most d_max."""

@@ -462,6 +462,28 @@ def test_memo_store_rejects_non_integral_value(tmp_path):
     assert gw_invariant(ProductSpace(2, 4), [(3, 0), (2, 3), (2, 0), (1, 0)], (1, 0), st) == 1
 
 
+@pytest.mark.parametrize("kind", ["not-utf8", "directory"])
+def test_memo_store_rejects_unreadable_path(tmp_path, kind):
+    # a path that holds no cache text is a format error naming it, and
+    # leaves the store and the path as they were
+    good = tmp_path / "good.txt"
+    good.write_text(GOLDEN_TEXT)
+    st = MemoStore().load(good)
+    before = dict(st.data)
+    bad = tmp_path / "bad.cache"
+    if kind == "directory":
+        bad.mkdir()
+    else:
+        bad.write_bytes(b"\xff")
+    with pytest.raises(CacheFormatError, match="bad.cache: not a cache file"):
+        st.load(bad)
+    assert st.data == before
+    if kind == "directory":
+        assert list(bad.iterdir()) == []
+    else:
+        assert bad.read_bytes() == b"\xff"
+
+
 def test_memo_store_loads_closed_form_entries_without_keeping_them(tmp_path):
     # a file written before the Kunneth filter holds every key the engine
     # evaluated, 3-mark and forbidden ones too: it loads, each such entry

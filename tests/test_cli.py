@@ -167,6 +167,26 @@ def test_cache_non_integral_entry(tmp_path, capsys):
     assert err.startswith("cache error: ") and ":2: non-integral value" in err
 
 
+@pytest.mark.parametrize("kind", ["not-utf8", "directory"])
+def test_cache_unreadable_path(tmp_path, capsys, kind):
+    # a --cache path that holds no text is a cache error (exit 3), not a
+    # traceback, and the path is left as it was
+    bad = tmp_path / "bad.cache"
+    if kind == "directory":
+        bad.mkdir()
+    else:
+        bad.write_bytes(b"\xff")
+    code = run_cli(["invariant", "--k", "2", "--n", "4", "--parts", "[1];[2,1];[2,2]",
+                    "--d", "1", "--cache", str(bad)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("cache error: ") and err.count("\n") == 1
+    if kind == "directory":
+        assert list(bad.iterdir()) == []
+    else:
+        assert bad.read_bytes() == b"\xff"
+
+
 @pytest.mark.parametrize("key", [
     "2,4|1|3.0;2.3;2.0;1.0",      # multidegree with 1 entry, k = 2
     "2,4|1,0,0|3.0;2.3;2.0;1.0",  # multidegree with 3 entries

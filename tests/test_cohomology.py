@@ -10,6 +10,7 @@ from abelianizer.cohomology import (
     ProductSpace,
     antisymmetrize,
     add,
+    bialternant,
     c_squared,
     cup,
     delta,
@@ -77,6 +78,30 @@ def test_delta_is_built_once_and_read_only():
     with pytest.raises(TypeError):
         dl.terms[(1, 0)] = 2
     assert dl.terms == {(1, 0): 1, (0, 1): -1}
+
+
+def test_lift_and_bialternant_are_built_once_and_read_only():
+    box = BoxSpec(2, 4)
+    for build in (lift, bialternant):
+        cls = build(P(1), box)
+        assert build(P(1), box) is cls
+        with pytest.raises(TypeError):
+            cls.terms[(1, 0)] = 5
+    assert lift(P(1), box).terms == {(1, 0): 1, (0, 1): 1}
+    assert bialternant(P(1), box).terms == {(2, 0): 1, (0, 2): -1}
+
+
+@pytest.mark.parametrize("box", [BoxSpec(2, 4), BoxSpec(2, 5), BoxSpec(3, 6)],
+                         ids=["Gr(2,4)", "Gr(2,5)", "Gr(3,6)"])
+def test_bialternant_is_lift_times_delta(box):
+    space = space_of(box)
+    staircase = tuple(range(box.k - 1, -1, -1))
+    for lam in box.basis:
+        got = bialternant(lam, box)
+        assert got == cup(lift(lam, box), delta(space))
+        # and, independently, the alternant a_{lam + staircase}
+        shifted = tuple(a + b for a, b in zip(lam.padded(box.k), staircase))
+        assert got == antisymmetrize(monomial(space, shifted))
 
 
 def test_integrate_examples():

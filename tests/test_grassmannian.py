@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from abelianizer.abelian_gw import MemoStore, admissible_tuples
+from abelianizer.cli import RunConfig, run_suites
 from abelianizer.partitions import BoxSpec, Partition, box_partitions
 from abelianizer.cohomology import schubert_cup
 from abelianizer.grassmannian import (
@@ -31,25 +33,42 @@ def test_schur_expand_product_matches_pieri():
 
 
 def test_quantum_cup_examples():
-    assert quantum_cup(P(1), P(2, 1), B24).terms == {(0, P(2, 2)): 1, (1, P()): 1}
-    assert quantum_cup(P(1), P(2, 2), B24).terms == {(1, P(1)): 1}
-    assert quantum_cup(P(), P(2, 1), B24).terms == {(0, P(2, 1)): 1}
-    assert quantum_cup(P(2), P(1, 1), B24).terms == {(1, P()): 1}
-    assert quantum_cup(P(2, 2), P(2, 2), B24).terms == {(2, P()): 1}
+    assert quantum_cup(P(1), P(2, 1), B24) == {(0, P(2, 2)): 1, (1, P()): 1}
+    assert quantum_cup(P(1), P(2, 2), B24) == {(1, P(1)): 1}
+    assert quantum_cup(P(), P(2, 1), B24) == {(0, P(2, 1)): 1}
+    assert quantum_cup(P(2), P(1, 1), B24) == {(1, P()): 1}
+    assert quantum_cup(P(2, 2), P(2, 2), B24) == {(2, P()): 1}
+
+
+def test_quantum_cup_is_built_once_and_read_only():
+    prod = quantum_cup(P(1), P(2, 1), B24)
+    assert quantum_cup(P(1), P(2, 1), B24) is prod
+    with pytest.raises(TypeError):
+        prod[(0, P(2, 2))] = 2
+    assert prod == {(0, P(2, 2)): 1, (1, P()): 1}
+
+
+def test_three_point_suite_computes_each_product_once():
+    box = BoxSpec(3, 6)
+    pairs = {(lam, mu) for (lam, mu, _), _ in admissible_tuples(box, 3, 1)}
+    quantum_cup.cache_clear()
+    (report,) = run_suites(RunConfig(k=3, n=6, max_degree=1, suites=("three-point",)), MemoStore())
+    assert report.passed
+    assert quantum_cup.cache_info().misses == len(pairs) == 113
 
 
 def test_quantum_grading():
     for box in (B24, BoxSpec(2, 5), BoxSpec(3, 6)):
         for lam, mu in itertools.combinations_with_replacement(box_partitions(box), 2):
             prod = quantum_cup(lam, mu, box)
-            for (q, rho), c in prod.terms.items():
+            for (q, rho), c in prod.items():
                 assert rho.weight + box.n * q == lam.weight + mu.weight
 
 
 def test_classical_part_matches_martin():
     for box in (B24, BoxSpec(2, 5)):
         for lam, mu in itertools.combinations_with_replacement(box_partitions(box), 2):
-            classical = {rho: c for (q, rho), c in quantum_cup(lam, mu, box).terms.items() if q == 0}
+            classical = {rho: c for (q, rho), c in quantum_cup(lam, mu, box).items() if q == 0}
             assert classical == schubert_cup(lam, mu, box)
 
 
@@ -60,14 +79,14 @@ def test_quantum_associativity():
 
         def as_vector(qs):
             out = {}
-            for (q, rho), c in qs.terms.items():
+            for (q, rho), c in qs.items():
                 out[(q, index[rho])] = c
             return out
 
         def star(vec, nu):
             out = {}
             for (q, i), c in vec.items():
-                for (q2, rho), c2 in quantum_cup(basis[i], nu, box).terms.items():
+                for (q2, rho), c2 in quantum_cup(basis[i], nu, box).items():
                     key = (q + q2, index[rho])
                     val = out.get(key, Fraction(0)) + c * c2
                     if val:
@@ -85,7 +104,7 @@ def test_quantum_associativity():
 def test_nonnegativity_of_structure_constants():
     for box in (B24, BoxSpec(2, 5), BoxSpec(3, 6)):
         for lam, mu in itertools.combinations_with_replacement(box_partitions(box), 2):
-            assert all(c >= 0 for c in quantum_cup(lam, mu, box).terms.values())
+            assert all(c >= 0 for c in quantum_cup(lam, mu, box).values())
 
 
 def test_calibration_unique_winner():
