@@ -30,6 +30,9 @@ def main():
         RunConfig(k=2, n=5, max_degree=d, max_insertions=l),
         RunConfig(k=3, n=6, max_degree=1, max_insertions=4,
                   suites=("martin", "omega-trivial", "two-point", "three-point")),
+        *(RunConfig(k=k, n=6, max_degree=1, max_insertions=5,
+                    suites=("four-point-divisor", "five-point-symmetry", "wdvv-grass"))
+          for k in (3, 2)),
     ]
     store = MemoStore(args.cache)
     if args.cache:

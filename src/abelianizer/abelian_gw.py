@@ -13,9 +13,15 @@ kunneth_allows is this rule; _gw applies it before the store, so no
 classes it makes a 3-mark bracket <A, B, C>_d the coefficient of
 prod_i H_i^(n-1+n d_i) in the product A B C, and with the divisor axiom a
 2-mark one a coefficient of A B (gw_of_classes), so neither is expanded
-term by term.  Invariants with four or more insertions are reconstructed
-through the divisor relation and the associativity (WDVV) constraints of
-the big quantum product, with exact memoization.
+term by term.  With four or more marks gw_of_classes applies the same
+formula to whole classes (Behrend, alg-geom/9710014): a factor with d_i = 0
+contributes only its classical integral, so the bracket is an invariant of
+(P^{n-1})^|P|, P the factors with d_i > 0, times an integral over the
+others, and it is 0 at d = 0.  The store so holds keys with k' = |P| <= k
+factors; at d <= 1 they are keys of P^{n-1}, shared by every k.
+Invariants with four or more insertions are reconstructed through the
+divisor relation and the associativity (WDVV) constraints of the big
+quantum product, with exact memoization.
 
 WDVV bookkeeping.  For basis elements u, v, x, y, a background multiset B
 and a curve class d, put
@@ -66,6 +72,7 @@ built from one store's values is read against another.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -349,7 +356,9 @@ def _factoring(space, ins, dist, policy: str, chain):
     as H_i g' and takes x1 out of the other marks; the hop key is that of
     <H_i x1, g', others>, None when H_i x1 = 0.  Of the candidates, in
     policy order (i, then x1), the first whose hop key is not in chain (the
-    keys in progress, ins among them) is taken, else the first."""
+    keys in progress, ins among them) is taken; else the first whose hop key
+    is ins itself (x1 = g', where the identity reads <ins> = <ins>, and the
+    step factors g' instead); else the first."""
     rest = list(_remove_one(ins, dist))
     factors = [j for j, x in enumerate(dist) if x > 0]
     if policy != "default":
@@ -366,7 +375,8 @@ def _factoring(space, ins, dist, policy: str, chain):
             choice = (i, gprime, x1, others, hop_ins)
             if hop_ins not in chain:
                 return choice
-            first = first or choice
+            if first is None or hop_ins == ins != first[4]:
+                first = choice
     return first
 
 
@@ -466,6 +476,11 @@ def _wdvv_step(space, ins, d, store, policy, hop) -> int:
     dist, chain = hop or (_pick_pivot(ins, policy), ())
     chain += (ins,)
     i, gprime, x1, others, hop_ins = _factoring(space, ins, dist, policy, chain)
+    while hop_ins == ins:
+        # x1 = g': the identity is trivial, and reading its hop term would
+        # compute ins a second time; factor g' instead, as that term would
+        dist = gprime
+        i, gprime, x1, others, hop_ins = _factoring(space, ins, dist, policy, chain)
     x2, back = others[0], tuple(others[1:])
 
     total = 0
@@ -658,24 +673,62 @@ def gw_of_classes(space: ProductSpace, classes, d: tuple, store: MemoStore):
     prod_i H_i^(n-1+n d_i) in the product A B C taken without H_i^n = 0, and
     by the divisor axiom <A, B>_d (d != 0) is the coefficient of that
     monomial over H_i in A B, divided by d_i, for the H_i that two_point
-    inserts.  Other arities expand term by term: fewer than two marks give 0
-    or _gw's ValueError, four or more are reconstructed through the store.
+    inserts.
+
+    Other arities split off the factors of degree 0.  By the product formula
+    a factor i with d_i = 0 contributes only its classical integral: with P
+    the factors where d_i > 0 and Z the rest,
+
+        <p_1 z_1, ..., p_m z_m>_d = <p_1, ..., p_m>_{d_P} * int_Z z_1 ... z_m
+
+    with the first bracket on (P^{n-1})^|P|.  So each class is grouped by
+    its P-exponents (and the degree of its Z-part); every choice of one
+    group per class that passes the dimension rule on both sides reads its
+    P-invariant from the store, with |P| factors, and, where that is
+    nonzero, multiplies it by the coefficient of prod_Z H^(n-1) in the
+    product of the chosen Z-parts.  At d = 0 (no P) the value is 0: degree-0
+    invariants with four or more marks vanish, and fewer than two marks are
+    unstable there.  With every d_i > 0 there is no Z, and this is the loop
+    over one term per class.  Fewer than two marks give 0 or _gw's
+    ValueError.
     """
     d = tuple(d)
     if len(classes) in (2, 3):
         return _product_bracket(space, classes, d)
-    total = 0
-    term_lists = [list(cls.terms.items()) for cls in classes]
-    if any(not t for t in term_lists):
+    if min(d) < 0 or not any(d):
         return 0
-    needed = virtual_dim(space, d, len(classes))
-    for combo in itertools.product(*term_lists):
-        monos = [e for e, _ in combo]
-        if sum(sum(e) for e in monos) != needed:
+    n = space.n
+    pos = [i for i, x in enumerate(d) if x]
+    zero = [i for i, x in enumerate(d) if not x]
+    sub = ProductSpace(len(pos), n)
+    d_pos = tuple(d[i] for i in pos)
+    needed = virtual_dim(sub, d_pos, len(classes))
+    z_top = (n - 1) * len(zero)
+    parts = []
+    for cls in classes:
+        groups = {}
+        for e, c in cls.terms.items():
+            z = tuple([e[i] for i in zero])
+            groups.setdefault((tuple([e[i] for i in pos]), sum(z)), {})[z] = c
+        parts.append(list(groups.items()))
+    total = 0
+    for combo in itertools.product(*parts):
+        if (sum([sum(p) for (p, _), _ in combo]) != needed
+                or sum([z for (_, z), _ in combo]) != z_top):
             continue
-        coeff = math.prod([c for _, c in combo])
-        total += coeff * _gw(space, tuple(sorted(monos, reverse=True)), d, store, "default", None)
+        monos = tuple(sorted([p for (p, _), _ in combo], reverse=True))
+        value = _gw(sub, monos, d_pos, store, "default", None)
+        if value:
+            total += value * _top_coefficient([z for _, z in combo], n)
     return total
+
+
+def _top_coefficient(polys, n: int):
+    """The coefficient of prod_i H_i^(n-1) in the product of polys, each
+    {exponent vector: coefficient} on the same factors, none or more."""
+    *first, last = polys
+    prod = functools.reduce(sparse.mul, first)
+    return sum([c * prod.get(tuple([n - 1 - x for x in e]), 0) for e, c in last.items()])
 
 
 def _product_bracket(space: ProductSpace, classes, d: tuple):

@@ -268,11 +268,14 @@ def cmd_invariant(args, parser) -> int:
         parser.error("degree must be nonnegative")
     store = _open_store(args)
     inv = AssembledInvariants(box, store)
-    value = inv.value(parts, args.d)
+    # computed in int, handed out as Fractions
+    value = Fraction(inv.value(parts, args.d))
     oracle = oracle_value(parts, args.d, box, inv.value)
+    if oracle is not None:
+        oracle = Fraction(oracle)
     record = {
         "k": args.k, "n": args.n, "partitions": [str(p) for p in parts], "d": args.d,
-        "value": _jsonable(value), "oracle": _jsonable(oracle) if oracle is not None else None,
+        "value": _jsonable(value), "oracle": _jsonable(oracle),
     }
     print(json.dumps(record, sort_keys=True))
     if _resolve_cache(args):
@@ -316,7 +319,7 @@ def _grass_rows(cfg: RunConfig, store: MemoStore):
     inv = AssembledInvariants(box, store)
     for m in range(3, cfg.max_insertions + 1):
         for combo, d in admissible_tuples(box, m, cfg.max_degree):
-            yield d, ";".join(str(p) for p in combo), inv.value(combo, d)
+            yield d, ";".join(str(p) for p in combo), Fraction(inv.value(combo, d))
 
 
 def _abelian_rows(cfg: RunConfig, store: MemoStore):

@@ -27,12 +27,13 @@ import functools
 import itertools
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from . import grassmannian
-from .partitions import BoxSpec, Partition, complement, epsilon, grlex_key, lifts
+from .partitions import BoxSpec, Partition, epsilon, lifts
 from .cohomology import (
     PClass,
     add as cls_add,
@@ -88,8 +89,14 @@ def i_bracket(insertions, d: int, box: BoxSpec, store: MemoStore, eps_off: bool 
 
     Each omega insertion enters as Delta, and the bracket is multiplied
     once by c^2 per pair of them.  A bracket with an odd number of omegas
-    vanishes by Weyl anti-invariance (checked, not assumed).  eps_off drops
-    the (-1)^((k-1)d) prefactor: the negative control for sign tests.
+    vanishes by Weyl anti-invariance (checked, not assumed): its lifts are
+    all summed.  With an even number the classes are invariant under S_k,
+    which permutes the factors and the entries of a lift alike, so every
+    lift in one S_k orbit gives the same value (Martin, math/0001002): the
+    sum takes one lift per orbit, the non-increasing one, times the orbit
+    size, the multinomial k! / prod_j m_j! over the multiplicities m_j of
+    its entries.  eps_off drops the (-1)^((k-1)d) prefactor: the negative
+    control for sign tests.
     """
     ins = tuple(sorted(insertions))
     key = (box, ins, d, eps_off)
@@ -101,7 +108,11 @@ def i_bracket(insertions, d: int, box: BoxSpec, store: MemoStore, eps_off: bool 
     classes = [bialternant(i.lam, box) if i.omega else lift(i.lam, box) for i in ins]
     total = 0
     for dd in lifts(d, box.k):
-        total += gw_of_classes(space, classes, dd, store)
+        if omegas % 2:
+            total += gw_of_classes(space, classes, dd, store)
+        elif all(a >= b for a, b in zip(dd, dd[1:])):
+            orbit = math.factorial(box.k) // math.prod(map(math.factorial, Counter(dd).values()))
+            total += orbit * gw_of_classes(space, classes, dd, store)
     if omegas % 2:
         # Weyl anti-invariance kills the lift-summed bracket of an odd number of omegas
         if total:
@@ -216,7 +227,7 @@ def evaluate_formula(tree: FormulaTree, partitions, d: int, box: BoxSpec,
     @functools.cache
     def table(child) -> list:
         # (s~_{a^vee}, the child contracted at a) for each a where that is nonzero
-        return [(Lifted(complement(a, box)), w)
+        return [(Lifted(box.dual(a)), w)
                 for a in box.basis if (w := contract(child, LiftedTimesOmega(a)))]
 
     def contract(br, up) -> Fraction:
@@ -435,7 +446,7 @@ def mirror_map(box: BoxSpec, trunc: int, store: MemoStore) -> MirrorMapSeries:
     for lam in box.basis:
         series = {}
         for d in range(1, trunc + 1):
-            c = i_bracket([LiftedTimesOmega(complement(lam, box)), OMEGA], d, box, store)
+            c = i_bracket([LiftedTimesOmega(box.dual(lam)), OMEGA], d, box, store)
             if c:
                 series[d] = c
         forward[lam] = series
@@ -480,7 +491,8 @@ def mirror_roundtrip_defect(box: BoxSpec, fwd: MirrorMapSeries) -> dict:
 
 class AssembledInvariants:
     """Grassmannian invariants of all arities built from the correction
-    formulas, cached by (sorted insertion multiset, degree).
+    formulas, cached by (the sorted basis positions of the insertions,
+    degree).
 
     corrupt_epsilon flips the lift-parity sign on the 4-point family only.
     A global sign flip is the substitution Q -> -Q and leaves associativity
@@ -500,17 +512,25 @@ class AssembledInvariants:
             self.trees[l] = generate_formula(l)
         return self.trees[l]
 
-    def value(self, partitions, d: int) -> Fraction:
-        parts = tuple(sorted(map(Partition, partitions), key=grlex_key))
-        key = (parts, d)
-        if key in self.cache:
-            return self.cache[key]
+    def value(self, partitions, d: int) -> int:
+        """The invariant <partitions>_d, as an int: a Grassmannian invariant
+        counts curves, so a non-integral value raises ArithmeticError."""
+        index = self.box.basis_index
+        key = (tuple(sorted([index[p] for p in partitions])), d)
+        val = self.cache.get(key)
+        if val is not None:
+            return val
+        basis = self.box.basis
+        parts = [basis[i] for i in key[0]]
         m = len(parts)
         if d == 0 and m > 3:
             # degree-0 invariants with 4 or more marks vanish
-            val = Fraction(0)
+            val = 0
         else:
-            val = evaluate_formula(self.tree(m), parts, d, self.box, self.store)
+            exact = evaluate_formula(self.tree(m), parts, d, self.box, self.store)
+            if exact.denominator != 1:
+                raise ArithmeticError(f"non-integral invariant {exact} for {parts} at d={d}")
+            val = exact.numerator
             if self.corrupt_epsilon and m == 4 and d % 2:
                 val = -val
         self.cache[key] = val

@@ -48,6 +48,11 @@ class GradedBasis:
             table.setdefault(sum(b), []).append(b)
         return table
 
+    @cached_property
+    def basis_index(self) -> dict:
+        """The position of each basis element in basis."""
+        return {b: i for i, b in enumerate(self.basis)}
+
 
 @dataclass(frozen=True)
 class BoxSpec(GradedBasis):
@@ -79,8 +84,13 @@ class BoxSpec(GradedBasis):
         return self.n * d
 
     def dual(self, lam: Partition) -> Partition:
-        """Poincare-dual Schubert class: the complement in the box."""
-        return complement(lam, self)
+        """Poincare-dual Schubert class: the complement in the box, read
+        from a table built once per box."""
+        return self._duals[lam]
+
+    @cached_property
+    def _duals(self) -> dict:
+        return {lam: complement(lam, self) for lam in self.basis}
 
     @cached_property
     def basis(self) -> tuple:

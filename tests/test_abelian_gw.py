@@ -9,8 +9,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from abelianizer import abelian_gw
-from abelianizer.cohomology import PClass, ProductSpace, add, cup, delta, lift, scale, space_of, unit, variable
+from abelianizer import abelian_gw, correspondence
+from abelianizer.cli import RunConfig, run_suites
+from abelianizer.cohomology import (
+    PClass, ProductSpace, add, bialternant, c_squared, cup, delta, lift, scale, space_of, unit, variable,
+)
 from abelianizer.abelian_gw import (
     CacheConsistencyError,
     CacheFormatError,
@@ -29,8 +32,8 @@ from abelianizer.abelian_gw import (
     wdvv_contraction,
     wdvv_identities,
 )
-from abelianizer.correspondence import AssembledInvariants
-from abelianizer.partitions import BoxSpec, box_partitions, lifts
+from abelianizer.correspondence import AssembledInvariants, i_bracket
+from abelianizer.partitions import BoxSpec, box_partitions, epsilon, lifts
 
 P3 = ProductSpace(1, 4)
 PP = ProductSpace(2, 2)
@@ -357,6 +360,47 @@ def test_gw_of_classes_matches_combo_loop(box, d_max):
     nonzero = {(m, omegas) for m, omegas, nz in seen if nz}
     assert nonzero == {(2, 2), (3, 0), (3, 2)} | ({(3, 1)} if box.k == 2 else set()), seen
     assert len(store) == 0  # 2- and 3-mark keys never reach the store
+
+
+@pytest.mark.parametrize("box, suites", [
+    (BoxSpec(2, 4), ("four-point-divisor", "five-point-symmetry")),
+    (BoxSpec(2, 5), ("four-point-divisor", "five-point-symmetry")),
+    (BoxSpec(3, 5), ("four-point-divisor",)),
+], ids=["Gr(2,4)", "Gr(2,5)", "Gr(3,5)"])
+def test_split_and_orbit_sum_match_full_sums(box, suites, monkeypatch):
+    # every lifted bracket of 4 or more marks that the suites ask for at
+    # d <= 2 (each has two omegas): the split of the degree-0 factors
+    # against the combo loop on the full product at the non-increasing lift
+    # of each Weyl orbit, and against its value there at the other lifts;
+    # and the bracket, which sums one lift per orbit, against the sum over
+    # all lifts
+    asked = set()
+
+    def recording(insertions, d, box, store, eps_off=False):
+        if len(insertions) >= 4:
+            asked.add((tuple(sorted(insertions)), d))
+        return i_bracket(insertions, d, box, store, eps_off)
+
+    monkeypatch.setattr(correspondence, "i_bracket", recording)
+    run_suites(RunConfig(k=box.k, n=box.n, max_degree=2, suites=suites), MemoStore())
+    monkeypatch.undo()
+    space = space_of(box)
+    store, loop_store = MemoStore(), MemoStore()
+    nonzero_orbits = 0
+    for ins, d in sorted(asked):
+        classes = [bialternant(i.lam, box) if i.omega else lift(i.lam, box) for i in ins]
+        assert sum(i.omega for i in ins) == 2
+        full, at = 0, {}
+        for dd in lifts(d, box.k):
+            got = gw_of_classes(space, classes, dd, store)
+            rep = tuple(sorted(dd, reverse=True))
+            if rep not in at:
+                at[rep] = reference_gw_of_classes(space, classes, rep, loop_store)
+            assert got == at[rep], (ins, dd)
+            full += got
+            nonzero_orbits += bool(got) and rep != dd
+        assert i_bracket(ins, d, box, store) == (-1) ** epsilon(d, box.k) * c_squared(box.k) * full, (ins, d)
+    assert len(asked) > 20 and nonzero_orbits > 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -964,3 +1008,28 @@ def test_wdvv_check_steps_each_key_once(monkeypatch, space, d_max, n_marks_max):
     assert check_wdvv(space, d_max, n_marks_max, st) == []
     assert len(steps) > 20 and max(steps.values()) == 1
     assert st.misses == len(st)
+
+
+@pytest.mark.parametrize("marks, d, value", [
+    ([(3,), (2,), (2,), (2,), (2,)], (1,), 3),
+    ([(4,), (3,), (3,), (3,), (3,)], (2,), 2),
+], ids=["H3.H2^4", "H4.H3^4"])
+def test_trivial_identity_steps_each_key_once(monkeypatch, marks, d, value):
+    # on P^4 every candidate WDVV step for these keys, and for a key that
+    # the first one's step reaches, has its hop term in progress, and one
+    # of them takes x1 = g', whose hop term is the key itself; the step
+    # factors g' instead of reading that term, so no key in progress is
+    # computed a second time
+    steps = Counter()
+    step = abelian_gw._wdvv_step
+
+    def counting(sp, ins, d, store, policy, hop):
+        steps[(d, ins)] += 1
+        return step(sp, ins, d, store, policy, hop)
+
+    monkeypatch.setattr(abelian_gw, "_wdvv_step", counting)
+    for policy in ("default", "alt"):
+        steps.clear()
+        st = MemoStore()
+        assert gw_invariant(ProductSpace(1, 5), marks, d, st, policy) == value
+        assert max(steps.values()) == 1 and st.misses == len(st), (policy, st.stats())

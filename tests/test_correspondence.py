@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from abelianizer.partitions import BoxSpec, Partition, box_partitions, complement, lifts
-from abelianizer.abelian_gw import MemoStore, admissible_tuples, virtual_dim
-from abelianizer.cohomology import cup, lift, martin_integral
+from abelianizer.abelian_gw import MemoStore, admissible_tuples, gw_invariant, virtual_dim
+from abelianizer.cohomology import ProductSpace, cup, lift, martin_integral
 from abelianizer import grassmannian as gr
 from abelianizer.correspondence import (
     AssembledInvariants,
@@ -461,11 +461,31 @@ def test_mirror_reversion_synthetic():
 
 def test_bracket_cache_dies_with_store():
     # brackets computed on a clean store must not answer for a store that
-    # holds a wrong 4-point invariant (3-point ones never come from a store)
+    # holds a wrong 4-point invariant (3-point ones never come from a store).
+    # The brackets split off their degree-0 factor, so at d = 1 they read
+    # P^3 keys; a wrong value of this one shows in exactly the two
+    # instances below
     assert naive_vs_corrected(B24, 1, MemoStore())["oracle_mismatches"] == []
     bad = MemoStore()
-    bad.put(MemoStore.parse_key_text("2,4|1,0|3.0;2.3;2.0;1.0"), Fraction(2))  # truly 1
-    assert len(naive_vs_corrected(B24, 1, bad)["oracle_mismatches"]) == 1
+    bad.put(MemoStore.parse_key_text("1,4|1|3;2;2;1"), 2)  # truly 1
+    found = naive_vs_corrected(B24, 1, bad)["oracle_mismatches"]
+    assert [(r["partitions"], r["corrected"], r["oracle"]) for r in found] == [
+        ([P(1), P(2), P(2), P(2, 2)], -1, 0),
+        ([P(1), P(2), P(1, 1), P(2, 2)], 2, 1),
+    ]
+
+
+def test_cache_file_with_product_keys_still_loads(tmp_path):
+    # a file written before the split holds keys of (P^3)^2 with a factor of
+    # degree 0; it still loads, and gives the values a fresh store gives
+    old = MemoStore()
+    gw_invariant(ProductSpace(2, 4), [(3, 0), (2, 3), (2, 0), (1, 0)], (1, 0), old)
+    assert "2,4|1,0|3.0;2.3;2.0;1.0" in {MemoStore.key_text(key) for key in old.data}
+    old.save(tmp_path / "old.cache")
+    loaded = MemoStore().load(tmp_path / "old.cache")
+    assert loaded.data == old.data
+    fresh = naive_vs_corrected(B24, 1, MemoStore())
+    assert naive_vs_corrected(B24, 1, loaded) == fresh
 
 
 def test_assembled_wdvv(store):
