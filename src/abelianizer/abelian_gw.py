@@ -55,19 +55,23 @@ ProductSpace and the Grassmannian's BoxSpec alike.  P is E over the proper
 splittings; the checks on both sides enumerate their identities with
 wdvv_identities and compare the three contractions with wdvv_failures.
 check_wdvv skips an identity of m = 4 + |B| marks that fails the rule
-with m - 4 in place of m - 3.  The skip is exact: in a term <u, v, S,
-mu>_e <mu^dual, x, y, T>_f the factors' ex_i add up to the identity's
-(mu, mu^dual add n - 1 on each factor), their bounds |S| and |T| add up to
-m - 4, and e_i = f_i = 0 where d_i = 0, so every term has a factor that
-_gw answers 0 without the store.  A WDVV step picks its x1 so that its
-hop term <H_i x1, g', x2, B>_d is no key in progress (x1 = g' gives the
-key itself).
+with m - 4 in place of m - 3, decided once per (column sums of the quad,
+B, d), since the rule reads only column sums.  The skip is exact: in a
+term <u, v, S, mu>_e <mu^dual, x, y, T>_f the factors' ex_i add up to the
+identity's (mu, mu^dual add n - 1 on each factor), their bounds |S| and
+|T| add up to m - 4, and e_i = f_i = 0 where d_i = 0, so every term has a
+factor that _gw answers 0 without the store.  A WDVV step picks its x1
+so that its hop term <H_i x1, g', x2, B>_d is no key in progress (x1 = g'
+gives the key itself).
 
 A contraction reads its left factors as half-contractions
-{mu: <u, v, mu, S>_e} from a dict that its caller owns: wdvv_failures keeps
-one for the whole check, so the three sides of every identity share them,
-and each WDVV step keeps its own.  Neither outlives its caller, so no half
-built from one store's values is read against another.
+{mu: <u, v, mu, S>_e}, and its right factors <mu^dual, x, y, T>_f from one
+entry per (x, y, T, f) that holds them only at the mu read so far, those
+whose left factor is nonzero.  Both live in a dict that its caller owns:
+wdvv_failures keeps one for the whole check, so every side of every
+identity shares them and each right factor is read once per check, and
+each WDVV step keeps its own.  Neither outlives its caller, so no factor
+read from one store is used against another.
 """
 
 from __future__ import annotations
@@ -542,10 +546,12 @@ def wdvv_contraction(space, u, v, x, y, subs, splits, value, halves):
     basis element is the sum of its entries (exponents of a monomial, parts
     of a partition); space supplies dim, c1_degree, dual and basis_of_codim.
 
-    The left factors come from halves, a dict from (u, v, S, e) to the
-    nonzero {mu: value((u, v, mu) + S, e)}, filled here on first use and
-    kept by the caller; the right factor is evaluated only where the left
-    one is nonzero.
+    Both factors come from halves, a dict filled here on first use and kept
+    by the caller.  It maps (u, v, S, e) to the half-contraction, the
+    nonzero {mu: value((u, v, mu) + S, e)}, and ("right", x, y, T, f) to
+    the right factors {mu: value((mu^dual, x, y) + T, f)} read so far.  A
+    right factor is evaluated only where the left one is nonzero, and once
+    per check or step however many contractions share it.
     """
     total = 0
     for S, T, weight in subs:
@@ -555,8 +561,15 @@ def wdvv_contraction(space, u, v, x, y, subs, splits, value, halves):
             if half is None:
                 half = _half_contraction(space, u, v, S, e, value)
                 halves[(u, v, S, e)] = halves[(v, u, S, e)] = half
+            if not half:
+                continue
+            rights = halves.get(("right", x, y, T, f))
+            if rights is None:
+                rights = halves[("right", x, y, T, f)] = halves[("right", y, x, T, f)] = {}
             for mu, left in half.items():
-                right = value((space.dual(mu), x, y) + T, f)
+                right = rights.get(mu)
+                if right is None:
+                    right = rights[mu] = value((space.dual(mu), x, y) + T, f)
                 if right:
                     part += left * right
         if part:
@@ -595,31 +608,42 @@ def admissible_tuples(space, m: int, d_max: int):
                 yield combo, d
 
 
+def _pairs_by_codim(space, d_max: int, n_marks_max: int) -> dict:
+    """{c: [(back, d)]}: the backgrounds back of at most n_marks_max - 4
+    basis elements and curve classes d of degree at most d_max that make an
+    identity with every quad of codimension c, in wdvv_identities order."""
+    # the codimensions of quad and back add up to virtual_dim(space, d,
+    # 3 + |back|): each background mark adds one to the rule at 3 marks
+    degrees = [(d, virtual_dim(space, d, 3)) for d in space.curve_classes(d_max)]
+    pairs = {}
+    for size in range(n_marks_max - 3):
+        for back in itertools.combinations_with_replacement(space.basis, size):
+            excess = sum(map(sum, back)) - size
+            for d, needed in degrees:
+                pairs.setdefault(needed - excess, []).append((back, d))
+    return pairs
+
+
 def wdvv_identities(space, d_max: int, n_marks_max: int):
     """Yield the associativity identities within bounds as (quad, back, d).
 
     quad is a multiset of four basis elements, back a background multiset
     of at most n_marks_max - 4 more, d a curve class of degree at most
     d_max; only identities that pass the dimension rule are yielded, and
-    none when n_marks_max < 4.  Each factor <u, v, mu, S>_e of an identity
-    has 3 + |S| <= n_marks_max - 1 marks, so the identities relate
-    invariants of at most n_marks_max - 1 marks and never test an
-    n_marks_max-point invariant.
+    none when n_marks_max < 4.  The quads come in
+    combinations_with_replacement order over space.basis, and each with the
+    (back, d) pairs of its codimension, built once per codimension: the
+    backgrounds by size and then in combinations_with_replacement order,
+    each followed by its curve classes in curve_classes order.
+
+    Each factor <u, v, mu, S>_e of an identity has 3 + |S| <= n_marks_max - 1
+    marks, so the identities relate invariants of at most n_marks_max - 1
+    marks and never test an n_marks_max-point invariant.
     """
-    # the codimensions of quad and back add up to virtual_dim(space, d,
-    # 3 + |back|): each background mark adds one to the rule at 3 marks
-    backgrounds = [
-        (back, sum(map(sum, back)) - len(back))
-        for size in range(n_marks_max - 3)
-        for back in itertools.combinations_with_replacement(space.basis, size)
-    ]
-    degrees = [(d, virtual_dim(space, d, 3)) for d in space.curve_classes(d_max)]
+    pairs = _pairs_by_codim(space, d_max, n_marks_max)
     for quad in itertools.combinations_with_replacement(space.basis, 4):
-        quad_codim = sum(map(sum, quad))
-        for back, back_excess in backgrounds:
-            for d, needed in degrees:
-                if quad_codim + back_excess == needed:
-                    yield quad, back, d
+        for back, d in pairs.get(sum(map(sum, quad)), ()):
+            yield quad, back, d
 
 
 class Violations(list):
@@ -761,19 +785,37 @@ def check_wdvv(space: ProductSpace, d_total_max: int, n_marks_max: int, store: M
     of at most n_marks_max - 1 marks.  An identity that kunneth_allows
     forbids is skipped: every term of it has a factor that _gw answers 0
     without the store, so it reads 0 = 0 = 0 (see the module docstring).
+    kunneth_allows reads only the column sums of the marks, so the skip is
+    decided once per (column sums of quad, back, d), and only the identities
+    kept are drawn; instances still counts every identity of
+    wdvv_identities, from the lengths of the (back, d) lists.
     """
 
     def value(marks, d):
         return _gw(space, tuple(sorted(marks, reverse=True)), d, store, "default", None)
 
-    drawn = itertools.count()
-    identities = (
-        (quad, back, d) for (quad, back, d), _ in zip(wdvv_identities(space, d_total_max, n_marks_max), drawn)
-        if kunneth_allows(space.n, quad + back, d, len(back))
-    )
+    pairs = _pairs_by_codim(space, d_total_max, n_marks_max)
+    # column sums of a quad -> (number of its identities, the (back, d) kept)
+    kept_of = {}
+    drawn = 0
+
+    def identities():
+        nonlocal drawn
+        for quad in itertools.combinations_with_replacement(space.basis, 4):
+            cols = tuple(map(sum, zip(*quad)))
+            entry = kept_of.get(cols)
+            if entry is None:
+                candidates = pairs.get(sum(cols), ())
+                kept = [(back, d) for back, d in candidates
+                        if kunneth_allows(space.n, quad + back, d, len(back))]
+                entry = kept_of[cols] = (len(candidates), kept)
+            drawn += entry[0]
+            for back, d in entry[1]:
+                yield quad, back, d
+
     found = Violations(
         {"quad": quad, "background": back, "degree": d, "values": sides}
-        for quad, back, d, sides in wdvv_failures(space, identities, value)
+        for quad, back, d, sides in wdvv_failures(space, identities(), value)
     )
-    found.instances = next(drawn)
+    found.instances = drawn
     return found

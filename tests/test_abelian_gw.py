@@ -989,6 +989,62 @@ def test_wdvv_skip_is_exact(monkeypatch):
         assert sides == [0, 0, 0], ((a, b, c, e), back, d)
 
 
+def reference_wdvv_identities(space, d_max, n_marks_max):
+    # every (quad, background, degree) triple, kept when it passes the
+    # dimension rule: the loop wdvv_identities replaced
+    backgrounds = [
+        (back, sum(map(sum, back)) - len(back))
+        for size in range(n_marks_max - 3)
+        for back in itertools.combinations_with_replacement(space.basis, size)
+    ]
+    degrees = [(d, virtual_dim(space, d, 3)) for d in space.curve_classes(d_max)]
+    for quad in itertools.combinations_with_replacement(space.basis, 4):
+        quad_codim = sum(map(sum, quad))
+        for back, back_excess in backgrounds:
+            for d, needed in degrees:
+                if quad_codim + back_excess == needed:
+                    yield quad, back, d
+
+
+@pytest.mark.parametrize("space, d_max, n_marks_max", [
+    (ProductSpace(2, 4), 1, 5),
+    (ProductSpace(2, 3), 2, 6),
+    (BoxSpec(2, 5), 2, 5),
+], ids=["(P3)^2", "(P2)^2", "Gr(2,5)"])
+def test_wdvv_identities_match_reference_loop(space, d_max, n_marks_max):
+    # the same identities in the same order, and none below 4 marks
+    got = list(wdvv_identities(space, d_max, n_marks_max))
+    assert len(got) > 1000
+    assert got == list(reference_wdvv_identities(space, d_max, n_marks_max))
+    for m in range(4):
+        assert list(wdvv_identities(space, d_max, m)) == []
+        assert list(reference_wdvv_identities(space, d_max, m)) == []
+
+
+def test_wdvv_check_pinned_on_p4_squared(monkeypatch):
+    # (P^4)^2 at d <= 2, <= 5 marks: the check counts every identity of the
+    # enumeration, evaluates exactly those the product formula keeps, in
+    # enumeration order, and computes each key once
+    space, st, kept = ProductSpace(2, 5), MemoStore(), []
+    failures = abelian_gw.wdvv_failures
+
+    def recording(sp, identities, value):
+        def tee():
+            for identity in identities:
+                kept.append(identity)
+                yield identity
+        return failures(sp, tee(), value)
+
+    monkeypatch.setattr(abelian_gw, "wdvv_failures", recording)
+    found = check_wdvv(space, 2, 5, st)
+    assert found == [] and found.instances == 177024
+    reference = [(quad, back, d) for quad, back, d in reference_wdvv_identities(space, 2, 5)
+                 if _product_formula_allows(space, quad + back, d, len(back))]
+    assert len(kept) == 18228
+    assert kept == reference
+    assert (len(st), st.misses) == (808, 808)
+
+
 @pytest.mark.parametrize("space, d_max, n_marks_max", [
     (ProductSpace(2, 4), 1, 5),
     (ProductSpace(2, 3), 2, 6),
