@@ -120,16 +120,6 @@ def _matmul(A: dict, B: dict) -> dict:
     return out
 
 
-def _times(X: dict, M: dict) -> dict:
-    """X M for a z-series X of matrices and a rational matrix M."""
-    return series_add({}, {p: _matmul(A, M) for p, A in X.items()})
-
-
-def _ad(D: dict, X: dict) -> dict:
-    """ad_D X = D X - X D on a z-series X of matrices."""
-    return series_add({}, {p: add(_matmul(D, A), _matmul(A, D), -1) for p, A in X.items()})
-
-
 @dataclass
 class FundamentalSolution:
     """Solution of the divisor quantum differential equation.
@@ -141,27 +131,38 @@ class FundamentalSolution:
     t_j-derivative of the J-function on the divisor locus; the unit column
     times z is the J-function itself.  Order by order the R_d solve
 
-        (z d + ad_D) R_d = sum_{e=1..d} R_{d-e} A_e,
+        (z d + ad_D) R_d = sum_{e=1..d} R_{d-e} A_e.
 
-    inverted through the nilpotency of ad_D.  D and the A_d are sparse
-    matrices {(row, col): c}; each R_d is a z-series of them.
+    U is homogeneous (deg z = 1, deg q = n, basis element i of degree
+    degrees[i]), so entry (i, j) of R_d stands at the one power
+    z^(degrees[j] - degrees[i] - n d), and R_d is solved at z = 1.  D, the
+    A_d and the R_d at z = 1 are sparse matrices {(row, col): c}.
     """
 
     basis: tuple
+    degrees: tuple
+    n: int
     D: dict
     A: dict
     R: dict = field(default_factory=dict)
 
-    def matrix(self, d: int) -> dict:
+    def graded(self, d: int) -> dict:
+        """R_d at z = 1."""
         if d == 0:
-            return {0: {(i, i): Fraction(1) for i in range(len(self.basis))}}
+            return {(i, i): Fraction(1) for i in range(len(self.basis))}
         if d not in self.R:
             rhs = {}
-            for e, A_e in self.A.items():
-                if 1 <= e <= d:
-                    rhs = series_add(rhs, _times(self.matrix(d - e), A_e))
-            self.R[d] = _invert_zd_plus_adD(rhs, self.D, d, len(self.basis))
+            for e in range(1, d + 1):
+                rhs = add(rhs, _matmul(self.graded(d - e), self.A.get(e, {})))
+            self.R[d] = _back_substitute(rhs, self.D, d, self.degrees)
         return self.R[d]
+
+    def matrix(self, d: int) -> dict:
+        """R_d as a z-series of sparse matrices."""
+        out = {}
+        for (i, j), c in self.graded(d).items():
+            out.setdefault(self.degrees[j] - self.degrees[i] - self.n * d, {})[i, j] = c
+        return out
 
     def column(self, d: int, j: int) -> dict[int, dict]:
         """Coordinates of the q^d part of column j, as {z power: {row: coeff}}."""
@@ -173,50 +174,54 @@ class FundamentalSolution:
         return out
 
     def residual(self, d_max: int):
-        """Plug the computed R_d back into the recursion; must vanish."""
+        """Plug the computed R_d, with their powers of z, back into the
+        recursion; must vanish."""
         bad = []
         for d in range(1, d_max + 1):
-            lhs = series_add(_ad(self.D, self.matrix(d)), self.matrix(d), d, shift=1)
+            R_d = self.matrix(d)
+            ad = series_add({}, {p: add(_matmul(self.D, R), _matmul(R, self.D), -1)
+                                 for p, R in R_d.items()})
+            lhs = series_add(ad, R_d, d, shift=1)
             for e, A_e in self.A.items():
                 if 1 <= e <= d:
-                    lhs = series_add(lhs, _times(self.matrix(d - e), A_e), -1)
+                    rhs = {p: _matmul(R, A_e) for p, R in self.matrix(d - e).items()}
+                    lhs = series_add(lhs, rhs, -1)
             if lhs:
                 bad.append(d)
         return bad
 
 
-def _invert_zd_plus_adD(Y: dict, D: dict, d: int, dim: int) -> dict:
-    """Solve (z d + ad_D) X = Y; ad_D is nilpotent so the Neumann series is finite."""
-    X, term, j = {}, Y, 0
-    while term:
-        X = series_add(X, term, Fraction((-1) ** j, d ** (j + 1)), shift=-(j + 1))
-        term = _ad(D, term)
-        j += 1
-        if j > 4 * dim + 4:
-            raise RuntimeError("ad_D failed to nilpotate; inconsistent grading")
+def _back_substitute(Y: dict, D: dict, d: int, degrees: tuple) -> dict:
+    """Solve (z d + ad_D) R_d = Y at z = 1, d X + D X - X D = Y.  D raises
+    the degree by one, so (D X)(i, j) and (X D)(i, j) read only entries one
+    lower in degrees[i] - degrees[j], which this order has already solved."""
+    rows, cols = {}, {}
+    for (i, l), c in D.items():
+        rows.setdefault(i, []).append((l, c))
+        cols.setdefault(l, []).append((i, c))
+    X = {}
+    for i, j in sorted(itertools.product(range(len(degrees)), repeat=2),
+                       key=lambda ij: degrees[ij[0]] - degrees[ij[1]]):
+        v = (Y.get((i, j), 0)
+             - sum(c * X.get((l, j), 0) for l, c in rows.get(i, ()))
+             + sum(c * X.get((i, l), 0) for l, c in cols.get(j, ())))
+        if v:
+            X[i, j] = Fraction(v, d)
     return X
 
 
-def divisor_matrices(box: BoxSpec):
-    """Basis and the graded pieces of quantum multiplication by sigma_1.
-
-    Returns (basis, D, {d: A_d}) with sparse matrices {(row, col): c}:
-    column lam holds sigma_1 * sigma_lam expanded over the basis.
-    """
+def fundamental_solution(box: BoxSpec) -> FundamentalSolution:
+    """A new solution for Gr(k, n), graded by partition weight; it fills
+    its R_d as the caller asks.  Column lam of D and the A_d holds
+    sigma_1 * sigma_lam expanded over the basis."""
     basis = box.basis
-    index = {lam: i for i, lam in enumerate(basis)}
     D: dict = {}
     A: dict[int, dict] = {}
     for j, lam in enumerate(basis):
         for (q, rho), c in quantum_cup(SIGMA_1, lam, box).items():
             mat = D if q == 0 else A.setdefault(q, {})
-            mat[index[rho], j] = c
-    return basis, D, A
-
-
-def fundamental_solution(box: BoxSpec) -> FundamentalSolution:
-    """A new solution for Gr(k, n); it fills its R_d as the caller asks."""
-    return FundamentalSolution(*divisor_matrices(box))
+            mat[box.basis_index[rho], j] = c
+    return FundamentalSolution(basis, tuple(lam.weight for lam in basis), box.n, D, A)
 
 
 @dataclass

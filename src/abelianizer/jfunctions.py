@@ -1,11 +1,10 @@
 """Small J-functions of products of projective spaces, the twisted
 I-function, and the linear solve matching it against the Grassmannian side.
 
-All series here are carried per Novikov degree as z-series (see sparse):
-polynomials in z and 1/z whose coefficients are classes on the product,
-{z power: {exponent vector: Fraction}}.  Fano grading on the divisor locus
-keeps every z-expansion finite, so there is no z truncation anywhere:
-requested depths are guarantees, not cutoffs.
+Every series here is homogeneous (deg z = deg H_i = 1, deg Q = n), so the
+J- and I-functions are computed at z = 1 and each term gets its power of z
+back from its degree, as z-series (see sparse) per Novikov degree.  There
+is no z truncation anywhere: requested depths are guarantees, not cutoffs.
 """
 
 from __future__ import annotations
@@ -13,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, lcm
 
 from .partitions import BoxSpec, Partition, binomial_fraction, epsilon, lifts
 from .cohomology import (
@@ -25,15 +25,12 @@ from .cohomology import (
     space_of,
 )
 from .grassmannian import FundamentalSolution
-from .sparse import add, series_add, series_mul
+from .sparse import add, mul, scale, series_mul
 
 
-def _on_factor(series: dict, i: int, k: int) -> dict:
-    """A z-series in the H of factor i, as a z-series on (P^{n-1})^k."""
-    return {
-        p: {(0,) * i + (e,) + (0,) * (k - 1 - i): c for e, c in rows.items()}
-        for p, rows in series.items()
-    }
+def _on_factor(poly: dict, i: int, k: int) -> dict:
+    """A polynomial in the H of factor i, as one on (P^{n-1})^k."""
+    return {(0,) * i + (e,) + (0,) * (k - 1 - i): c for e, c in poly.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +40,7 @@ def _projective_solution(n: int) -> FundamentalSolution:
     """Fundamental solution for a single P^{n-1} in the basis 1, H, ..., H^{n-1}."""
     D = {(j + 1, j): Fraction(1) for j in range(n - 1)}
     A1 = {(0, n - 1): Fraction(1)}  # H * H^{n-1} = Q
-    return FundamentalSolution(list(range(n)), D, {1: A1})
+    return FundamentalSolution(list(range(n)), tuple(range(n)), n, D, {1: A1})
 
 
 def projective_j_coefficient(n: int, d: int) -> dict[int, dict[int, Fraction]]:
@@ -67,43 +64,45 @@ def projective_j_closed_form(n: int, d: int) -> dict[int, dict[int, Fraction]]:
     return out
 
 
+def _j_numerators(space: ProductSpace, d_total_max: int) -> dict[tuple, tuple]:
+    """{multidegree dt: (den, poly)}: J^dt at z = 1 is poly / den, poly
+    with integer coefficients."""
+    sol, k = _projective_solution(space.n), space.k
+    factors = []
+    for m in range(d_total_max + 1):
+        col = {i: c for (i, j), c in sol.graded(m).items() if j == 0}
+        den = lcm(*(c.denominator for c in col.values()))
+        factors.append((den, {i: c.numerator * den // c.denominator for i, c in col.items()}))
+    out = {}
+    for dt in space.curve_classes(d_total_max):
+        den, poly = 1, {(0,) * k: 1}
+        for i, m in enumerate(dt):
+            den *= factors[m][0]
+            poly = mul(poly, _on_factor(factors[m][1], i, k))
+        out[dt] = den, poly
+    return out
+
+
+def _with_z(poly: dict, top: int, den: int) -> dict:
+    """poly / den of degree top at z = 1 as a z-series: H^e at z^(top - |e|)."""
+    out = {}
+    for e, c in poly.items():
+        out.setdefault(top - sum(e), {})[e] = Fraction(c, den)
+    return out
+
+
 def j_function_P(space: ProductSpace, d_total_max: int) -> dict[tuple, dict]:
     """Multidegree coefficients of the small J-function of (P^{n-1})^k at
     the origin of the divisor locus.
 
     J = z * sum over multidegrees of Q^dt * prod_i J_{d_i}(H_i); the
     returned z-series includes the overall factor z, so the zero multidegree
-    maps to z * unit.
+    maps to z * unit.  The coefficient of Q^dt has degree 1 - n |dt|.
     """
-    k = space.k
-    sol = _projective_solution(space.n)
-    out = {}
-    for dt in space.curve_classes(d_total_max):
-        acc = {1: {(0,) * k: Fraction(1)}}
-        for i in range(k):
-            acc = series_mul(acc, _on_factor(sol.column(dt[i], 0), i, k))
-        out[dt] = acc
-    return out
-
-
-def apply_abelian_solution(box: BoxSpec, poly: dict, d: int) -> dict:
-    """sum over lifts dt of d of (tensor_i R_{d_i}) applied to a class.
-
-    The per-factor matrices act coordinate-wise on each tensor leg; this is
-    the q^d part of the abelian fundamental solution applied to the class,
-    before Novikov specialization (no sign, no overall z).
-    """
-    space = space_of(box)
-    k = space.k
-    sol = _projective_solution(space.n)
-    total = {}
-    for dt in lifts(d, k):
-        for e, c in poly.items():
-            acc = {0: {(0,) * k: c}}
-            for i in range(k):
-                acc = series_mul(acc, _on_factor(sol.column(dt[i], e[i]), i, k))
-            total = series_add(total, acc)
-    return total
+    return {
+        dt: _with_z(poly, 1 - space.n * sum(dt), den)
+        for dt, (den, poly) in _j_numerators(space, d_total_max).items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -137,22 +136,26 @@ class ISeries:
 
 
 def i_function(box: BoxSpec, d_max: int) -> ISeries:
+    """The I-series to Novikov degree d_max, computed at z = 1 in integers
+    over one denominator per degree; the term H^e of I_d gets back the
+    z power 1 - n d + C(k, 2) - |e|."""
     space = space_of(box)
-    jp = j_function_P(space, d_max)
+    k, n = space.k, space.n
+    jp = _j_numerators(space, d_max)
     # the positive roots H_i - H_j, in the order of root_classes
-    roots = list(zip(itertools.combinations(range(space.k), 2), root_classes(space)))
+    roots = list(zip(itertools.combinations(range(k), 2), root_classes(space)))
     coeffs = {}
     for d in range(d_max + 1):
+        dts = lifts(d, k)
+        common = lcm(*(jp[dt][0] for dt in dts))
         acc = {}
-        for dt in lifts(d, space.k):
-            term = jp[dt]
+        for dt in dts:
+            den, term = jp[dt]
+            term = scale(term, common // den)
             for (i, j), root in roots:
-                factor = {0: root.terms}
-                if dt[i] != dt[j]:
-                    factor[1] = {(0,) * space.k: Fraction(dt[i] - dt[j])}
-                term = series_mul(term, factor, cap=space.n)
-            acc = series_add(acc, term)
-        coeffs[d] = series_add({}, acc, (-1) ** epsilon(d, box.k))
+                term = mul(term, add(root.terms, {(0,) * k: dt[i] - dt[j]}), cap=n)
+            acc = add(acc, term)
+        coeffs[d] = _with_z(scale(acc, (-1) ** epsilon(d, k)), 1 - n * d + comb(k, 2), common)
     return ISeries(box, d_max, coeffs)
 
 
@@ -195,60 +198,43 @@ def solve_c_coefficients(iseries: ISeries, fund: FundamentalSolution, box: BoxSp
 
     At each degree the unknown C^i_d multiplies the degree-zero Gr column
     z * S_{lam_i} * omega, so expanding the remainder over the bialternants
-    and dividing by c^2 * z determines C^i_d; any surviving negative z
-    powers (the division must close in polynomials) are reported as
-    residual violations.  The system is triangular across Novikov degrees
-    with an invertible diagonal block, so the solve is exact and unique.
+    and dividing by c^2 * z determines C^i_d.  The solve runs at z = 1, as
+    C^lam_d can only stand at z^(-|lam| - n d); one at a negative power
+    (the division must close in polynomials) is a residual violation.  The
+    system is triangular across Novikov degrees with an invertible diagonal
+    block, so the solve is exact and unique.
     """
     if d_max is None:
         d_max = iseries.d_max
-    space = space_of(box)
+    elif d_max > iseries.d_max:
+        raise ValueError(f"the I-series stops at degree {iseries.d_max}, below d_max = {d_max}")
     basis = box.basis
     r = c_squared(box.k)
-
-    # Gr side building blocks: G[e][lam] = lift(R_e column_lam) * Delta as a z-series
-    gr_cols: dict[int, dict[Partition, dict]] = {}
-    for e in range(d_max + 1):
-        cols = {}
-        for j, lam in enumerate(basis):
-            lp = {}
-            for zp, rows in fund.column(e, j).items():
-                vec = {}
-                for i, c in rows.items():
-                    vec = add(vec, bialternant(basis[i], box).terms, c)
-                if vec:
-                    lp[zp] = vec
-            cols[lam] = lp
-        gr_cols[e] = cols
 
     c_series: dict[Partition, dict] = {lam: {} for lam in basis}
     residual = []
     for d in range(d_max + 1):
-        known = iseries.coefficient(d)
-        for e_prime in range(d):
-            for lam in basis:
-                g = gr_cols[d - e_prime][lam]
-                for (dd, zp1), c1 in c_series[lam].items():
-                    if dd == e_prime:
-                        # minus z * G, scaled by r * C^i
-                        known = series_add(known, g, -r * c1, shift=zp1 + 1)
-        # expand the remainder over the bialternants, per z power
-        expanded: dict[Partition, dict[int, Fraction]] = {}
-        for zp, poly in known.items():
-            try:
-                row = divide_by_delta(PClass(space, poly), box)
-            except ValueError:
-                residual.append({"d": d, "z": zp, "value": "not anti-invariant"})
-                continue
-            for lam, c in row.items():
-                expanded.setdefault(lam, {})[zp] = c
-        for lam, lz in expanded.items():
-            for zp, c in lz.items():
-                val = c / r
-                target_zp = zp - 1  # divide by z
-                if target_zp < 0:
-                    residual.append({"d": d, "lam": lam, "z": target_zp, "value": val})
-                else:
-                    c_series[lam][(d, target_zp)] = val
+        known = {}
+        for poly in iseries.coefficient(d).values():
+            known = add(known, poly)
+        for j, lam in enumerate(basis):
+            for (e_prime, _), c1 in c_series[lam].items():
+                # minus lift(R_{d-e'} column_lam) * Delta, scaled by r * C^lam
+                for (i, col), c in fund.graded(d - e_prime).items():
+                    if col == j:
+                        known = add(known, bialternant(basis[i], box).terms, -r * c1 * c)
+        # expand the remainder over the bialternants
+        try:
+            expanded = divide_by_delta(PClass(space_of(box), known), box)
+        except ValueError:
+            residual.append({"d": d, "value": "not anti-invariant"})
+            continue
+        for lam, c in expanded.items():
+            val = c / r
+            target_zp = -lam.weight - box.n * d  # divide by z
+            if target_zp < 0:
+                residual.append({"d": d, "lam": lam, "z": target_zp, "value": val})
+            else:
+                c_series[lam][(d, target_zp)] = val
     c_series = {lam: s for lam, s in c_series.items() if s}
     return CSolveResult(box, d_max, c_series, residual)

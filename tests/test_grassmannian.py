@@ -8,6 +8,7 @@ from abelianizer.cli import RunConfig, run_suites
 from abelianizer.partitions import BoxSpec, Partition, box_partitions
 from abelianizer.cohomology import schubert_cup
 from abelianizer.grassmannian import (
+    _matmul,
     calibrate_rim_hook_sign,
     fundamental_solution,
     j_function,
@@ -16,6 +17,8 @@ from abelianizer.grassmannian import (
     three_point,
     two_point,
 )
+from abelianizer.jfunctions import _projective_solution
+from abelianizer.sparse import add, series_add
 
 
 def P(*parts):
@@ -156,6 +159,65 @@ def test_qde_residual_zero():
         fund = fundamental_solution(box)
         fund.matrix(3)
         assert fund.residual(3) == []
+
+
+def _times(X, M):
+    # X M for a z-series X of matrices and a rational matrix M
+    return series_add({}, {p: _matmul(A, M) for p, A in X.items()})
+
+
+def _ad(D, X):
+    # ad_D X = D X - X D on a z-series X of matrices
+    return series_add({}, {p: add(_matmul(D, A), _matmul(A, D), -1) for p, A in X.items()})
+
+
+def reference_r_matrices(fund, d_max):
+    # the Neumann series the graded back-substitution replaced: R_d as a
+    # z-series, (z d + ad_D)^-1 summed through the nilpotency of ad_D
+    R = {0: {0: {(i, i): Fraction(1) for i in range(len(fund.basis))}}}
+    for d in range(1, d_max + 1):
+        Y = {}
+        for e, A_e in fund.A.items():
+            if 1 <= e <= d:
+                Y = series_add(Y, _times(R[d - e], A_e))
+        X, term, j = {}, Y, 0
+        while term:
+            X = series_add(X, term, Fraction((-1) ** j, d ** (j + 1)), shift=-(j + 1))
+            term = _ad(fund.D, term)
+            j += 1
+            assert j <= 4 * len(fund.basis) + 4, "ad_D failed to nilpotate"
+        R[d] = X
+    return R
+
+
+SOLUTIONS = {
+    **{f"Gr({k},{n})": (fundamental_solution, BoxSpec(k, n))
+       for k, n in ((2, 4), (2, 5), (3, 5), (3, 6))},
+    **{f"P^{n - 1}": (_projective_solution, n) for n in (2, 3, 4, 5)},
+}
+
+
+@pytest.mark.parametrize("name", list(SOLUTIONS))
+def test_graded_solve_matches_neumann_series(name):
+    make, arg = SOLUTIONS[name]
+    fund = make(arg)
+    reference = reference_r_matrices(fund, 3)
+    for d in range(4):
+        # the grading: every entry of R_d at the one power deg_j - deg_i - n d
+        powers = {}
+        for p, R in reference[d].items():
+            for i, j in R:
+                assert (i, j) not in powers, (d, i, j)
+                powers[i, j] = p
+                assert p == fund.degrees[j] - fund.degrees[i] - fund.n * d, (d, i, j)
+        assert fund.matrix(d) == reference[d], d
+        for j in range(len(fund.basis)):
+            want = {}
+            for p, R in reference[d].items():
+                rows = {i: c for (i, col), c in R.items() if col == j}
+                if rows:
+                    want[p] = rows
+            assert fund.column(d, j) == want, (d, j)
 
 
 def test_zseries_records_stable():

@@ -1,24 +1,26 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from abelianizer.partitions import BoxSpec, Partition, epsilon
+from abelianizer.partitions import BoxSpec, Partition, epsilon, lifts
 from abelianizer.cohomology import (
     PClass,
     cup,
     delta,
     divide_by_delta,
     lift,
+    root_classes,
     space_of,
 )
 from abelianizer.grassmannian import fundamental_solution
 from abelianizer.jfunctions import (
-    apply_abelian_solution,
     i_function,
     j_function_P,
     projective_j_closed_form,
     projective_j_coefficient,
     solve_c_coefficients,
+    _on_factor,
     _projective_solution,
 )
 from abelianizer.sparse import add, scale, series_add, series_mul
@@ -111,12 +113,68 @@ def test_i_series_degree_one_structure():
     assert i_function(B24, 1).coefficient(1) == want
 
 
+def reference_i_coefficients(box, d_max):
+    # the z-series product the z = 1 integer build replaced, on the closed
+    # form of the projective J-functions
+    space = space_of(box)
+    k, n = space.k, space.n
+    roots = list(zip(itertools.combinations(range(k), 2), root_classes(space)))
+    coeffs = {}
+    for d in range(d_max + 1):
+        acc = {}
+        for dt in lifts(d, k):
+            term = {1: {(0,) * k: Fraction(1)}}
+            for i in range(k):
+                factor = projective_j_closed_form(n, dt[i])
+                term = series_mul(term, {p: _on_factor(rows, i, k) for p, rows in factor.items()})
+            for (i, j), root in roots:
+                factor = {0: root.terms}
+                if dt[i] != dt[j]:
+                    factor[1] = {(0,) * k: Fraction(dt[i] - dt[j])}
+                term = series_mul(term, factor, cap=n)
+            acc = series_add(acc, term)
+        coeffs[d] = series_add({}, acc, (-1) ** epsilon(d, k))
+    return coeffs
+
+
+@pytest.mark.parametrize("kn", [(2, 4), (2, 5), (3, 5), (3, 6), (1, 2), (1, 3), (1, 4), (1, 5)],
+                         ids=lambda kn: "Gr(%d,%d)" % kn)
+def test_i_function_matches_z_series_product(kn):
+    box = BoxSpec(*kn)
+    reference = reference_i_coefficients(box, 3)
+    for d, series in reference.items():
+        # the grading: the term H^e of I_d at z^(1 - n d + C(k, 2) - |e|)
+        for zp, poly in series.items():
+            for e in poly:
+                assert zp == 1 - box.n * d + box.k * (box.k - 1) // 2 - sum(e), (d, zp, e)
+    assert i_function(box, 3).coeffs == reference
+
+
 def test_gr1n_i_equals_j():
     box = BoxSpec(1, 4)
     I = i_function(box, 2)
     jp = j_function_P(space_of(box), 2)
     for d in (0, 1, 2):
         assert I.coefficient(d) == jp[(d,)]
+
+
+def apply_abelian_solution(box, poly, d):
+    # sum over lifts dt of d of (tensor_i R_{d_i}) applied to a class: the
+    # q^d part of the abelian fundamental solution applied to the class,
+    # before Novikov specialization (no sign, no overall z); the
+    # per-factor matrices act coordinate-wise on each tensor leg
+    space = space_of(box)
+    k = space.k
+    sol = _projective_solution(space.n)
+    total = {}
+    for dt in lifts(d, k):
+        for e, c in poly.items():
+            acc = {0: {(0,) * k: c}}
+            for i in range(k):
+                column = sol.column(dt[i], e[i])
+                acc = series_mul(acc, {p: _on_factor(rows, i, k) for p, rows in column.items()})
+            total = series_add(total, acc)
+    return total
 
 
 def test_omega_derivative_correspondence(store):
@@ -162,6 +220,16 @@ def test_solve_c_consistent(kn, store):
     # empirical collapse: a single constant series on the unit coordinate
     from abelianizer.cohomology import c_squared
     assert res.c_series == {P(): {(0, 0): 1 / c_squared(box.k)}}
+
+
+def test_solve_c_rejects_degrees_beyond_the_i_series(store):
+    # an I_d that was never computed is not zero: reading it as zero
+    # reported residual violations at d = 2 and 3
+    fund = fundamental_solution(B24)
+    with pytest.raises(ValueError):
+        solve_c_coefficients(i_function(B24, 1), fund, B24, d_max=3)
+    res = solve_c_coefficients(i_function(B24, 3), fund, B24, d_max=1)
+    assert res.consistent and res.d_max == 1
 
 
 def test_solve_c_abelian_case(store):
