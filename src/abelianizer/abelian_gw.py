@@ -392,23 +392,14 @@ def _mono_cup(a: Mono, b: Mono, n: int):
 def gw_invariant(space: ProductSpace, insertions, d, store: MemoStore, policy: str = "default") -> Fraction:
     """Genus-zero primary invariant of (P^{n-1})^k with basis-monomial insertions.
 
-    insertions may be exponent tuples or single-monomial PClasses.  Values
-    are computed in int and asserted integral (the metric is a permutation
-    on the monomial basis, so no denominators can survive); the result is
-    handed out as a Fraction, like every rational value of the package.
+    insertions are exponent tuples (since version 0.10.0; a PClass goes
+    through gw_of_classes).  Values are computed in int and asserted
+    integral (the metric is a permutation on the monomial basis, so no
+    denominators can survive); the result is handed out as a Fraction, like
+    every rational value of the package.
     """
-    monos = []
-    for ins in insertions:
-        if isinstance(ins, PClass):
-            if len(ins.terms) != 1:
-                raise ValueError("gw_invariant takes basis monomials; expand classes first")
-            ((e, c),) = ins.terms.items()
-            if c != 1:
-                raise ValueError("gw_invariant takes basis monomials with coefficient 1")
-            monos.append(e)
-        else:
-            monos.append(tuple(int(x) for x in ins))
-    return Fraction(_gw(space, tuple(sorted(monos, reverse=True)), tuple(d), store, policy, None))
+    monos = sorted((tuple(int(x) for x in ins) for ins in insertions), reverse=True)
+    return Fraction(_gw(space, tuple(monos), tuple(d), store, policy, None))
 
 
 def _gw(space, ins, d, store, policy, hop) -> int:
@@ -647,8 +638,9 @@ def wdvv_identities(space, d_max: int, n_marks_max: int):
 
 
 class Violations(list):
-    """The violations a WDVV check found; instances counts the identities
-    it drew from wdvv_identities, skipped ones included."""
+    """The violations a check found; instances counts what the check looped
+    over (for a WDVV check, the identities it drew from wdvv_identities,
+    skipped ones included)."""
 
     instances = 0
 

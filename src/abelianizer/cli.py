@@ -31,7 +31,6 @@ from .correspondence import (
     naive_vs_corrected,
     oracle_value,
 )
-from .grassmannian import fundamental_solution
 from .jfunctions import i_function, solve_c_coefficients
 
 REPORT_SCHEMA = "report v1"
@@ -181,7 +180,8 @@ def _suite_wdvv_grass(cfg: RunConfig, store: MemoStore):
 
 
 def _suite_omega_trivial(cfg: RunConfig, store: MemoStore):
-    return 1, check_omega_triviality(cfg.box(), cfg.max_degree)
+    violations = check_omega_triviality(cfg.box(), cfg.max_degree)
+    return violations.instances, violations
 
 
 def _suite_mirror_small(cfg: RunConfig, store: MemoStore):
@@ -197,8 +197,7 @@ def _suite_mirror_small(cfg: RunConfig, store: MemoStore):
 
 
 def _suite_j_i(cfg: RunConfig, store: MemoStore):
-    box = cfg.box()
-    res = solve_c_coefficients(i_function(box, cfg.max_degree), fundamental_solution(box), box)
+    res = solve_c_coefficients(i_function(cfg.box(), cfg.max_degree))
     details = {
         "c_series": {
             str(lam): {f"Q^{d} z^{zp}": v for (d, zp), v in series.items()}
@@ -253,6 +252,21 @@ def _open_store(args) -> MemoStore:
     return store
 
 
+def _save_store(args, store: MemoStore) -> None:
+    path = _resolve_cache(args)
+    if path:
+        store.save(path)
+
+
+def _emit(args, out: str) -> None:
+    """Write a command's output to --out, or print it."""
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(out + "\n")
+    else:
+        print(out)
+
+
 def cmd_invariant(args, parser) -> int:
     try:
         box = BoxSpec(args.k, args.n)
@@ -278,8 +292,7 @@ def cmd_invariant(args, parser) -> int:
         "value": _jsonable(value), "oracle": _jsonable(oracle),
     }
     print(json.dumps(record, sort_keys=True))
-    if _resolve_cache(args):
-        store.save(_resolve_cache(args))
+    _save_store(args, store)
     return 0 if oracle is None or oracle == value else 1
 
 
@@ -304,13 +317,8 @@ def cmd_verify(args, parser) -> int:
         for r in reports:
             lines.append(f"| {r.suite} | {r.instances} | {r.passed} | {r.wall_time:.2f} |")
         out = "\n".join(lines)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out + "\n")
-    else:
-        print(out)
-    if _resolve_cache(args):
-        store.save(_resolve_cache(args))
+    _emit(args, out)
+    _save_store(args, store)
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -351,14 +359,8 @@ def cmd_table(args, parser) -> int:
     else:
         lines = [json.dumps([{"degree": _jsonable(d), "insertions": i, "value": _jsonable(v)}
                              for d, i, v in rows], indent=1, sort_keys=True)]
-    out = "\n".join(lines)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out + "\n")
-    else:
-        print(out)
-    if _resolve_cache(args):
-        store.save(_resolve_cache(args))
+    _emit(args, "\n".join(lines))
+    _save_store(args, store)
     return 0
 
 

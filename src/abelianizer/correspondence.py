@@ -359,15 +359,18 @@ def check_omega_triviality(box: BoxSpec, d_max: int) -> list[dict]:
     (i) omega * lift(lam) has no Novikov corrections after specialization;
     (ii) for every factorization of the root product Delta into two
     complementary halves, their specialized product is Delta on the nose.
+    Returns the violations, as Violations counting the rank + 2^C(k,2)
+    products checked.
     """
     space = space_of(box)
     dl = delta(space)
-    violations = []
+    violations = Violations()
 
     def specialized(a, b):
         return specialize_novikov(small_quantum_product(a, b), box.k)
 
     for lam in box.basis:
+        violations.instances += 1
         got = specialized(dl, lift(lam, box))
         if got.get(0, PClass(space)) != bialternant(lam, box) or any(d > 0 for d in got):
             violations.append({"check": "omega-cup", "lam": lam, "got": got})
@@ -375,6 +378,7 @@ def check_omega_triviality(box: BoxSpec, d_max: int) -> list[dict]:
     roots = root_classes(space)
     for r in range(len(roots) + 1):
         for picked in itertools.combinations(range(len(roots)), r):
+            violations.instances += 1
             a = b = unit(space)
             for i, root in enumerate(roots):
                 if i in picked:

@@ -175,8 +175,11 @@ class FundamentalSolution:
 
     def residual(self, d_max: int):
         """Plug the computed R_d, with their powers of z, back into the
-        recursion; must vanish."""
-        bad = []
+        recursion; must vanish.  A z shift shared by every R_d moves both
+        sides alike, so R_0 must also be the identity at z^0; degree 0 is
+        reported otherwise."""
+        identity = {(i, i): 1 for i in range(len(self.basis))}
+        bad = [] if self.matrix(0) == {0: identity} else [0]
         for d in range(1, d_max + 1):
             R_d = self.matrix(d)
             ad = series_add({}, {p: add(_matmul(self.D, R), _matmul(R, self.D), -1)

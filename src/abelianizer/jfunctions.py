@@ -24,7 +24,7 @@ from .cohomology import (
     root_classes,
     space_of,
 )
-from .grassmannian import FundamentalSolution
+from .grassmannian import fundamental_solution
 from .sparse import add, mul, scale, series_mul
 
 
@@ -34,19 +34,12 @@ def _on_factor(poly: dict, i: int, k: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# per-factor quantum differential equation for P^{n-1}
-
-def _projective_solution(n: int) -> FundamentalSolution:
-    """Fundamental solution for a single P^{n-1} in the basis 1, H, ..., H^{n-1}."""
-    D = {(j + 1, j): Fraction(1) for j in range(n - 1)}
-    A1 = {(0, n - 1): Fraction(1)}  # H * H^{n-1} = Q
-    return FundamentalSolution(list(range(n)), tuple(range(n)), n, D, {1: A1})
-
+# one factor P^{n-1} = Gr(1, n): sigma_j = H^j, so row j is the H exponent
 
 def projective_j_coefficient(n: int, d: int) -> dict[int, dict[int, Fraction]]:
     """q^d coefficient of the P^{n-1} J-function (unit normalization, no
     overall z): {z power: {H exponent: coeff}}."""
-    return _projective_solution(n).column(d, 0)
+    return fundamental_solution(BoxSpec(1, n)).column(d, 0)
 
 
 def projective_j_closed_form(n: int, d: int) -> dict[int, dict[int, Fraction]]:
@@ -67,7 +60,7 @@ def projective_j_closed_form(n: int, d: int) -> dict[int, dict[int, Fraction]]:
 def _j_numerators(space: ProductSpace, d_total_max: int) -> dict[tuple, tuple]:
     """{multidegree dt: (den, poly)}: J^dt at z = 1 is poly / den, poly
     with integer coefficients."""
-    sol, k = _projective_solution(space.n), space.k
+    sol, k = fundamental_solution(BoxSpec(1, space.n)), space.k
     factors = []
     for m in range(d_total_max + 1):
         col = {i: c for (i, j), c in sol.graded(m).items() if j == 0}
@@ -191,10 +184,10 @@ class CSolveResult:
         return out
 
 
-def solve_c_coefficients(iseries: ISeries, fund: FundamentalSolution, box: BoxSpec,
-                         d_max: int = None) -> CSolveResult:
+def solve_c_coefficients(iseries: ISeries) -> CSolveResult:
     """Solve I(z) = sum_i C^i(z) * z d_{t_i} (lifted J_Gr cup omega) order by
-    order in the Novikov variable.
+    order in the Novikov variable, on the box of the I-series and to its
+    degree d_max.
 
     At each degree the unknown C^i_d multiplies the degree-zero Gr column
     z * S_{lam_i} * omega, so expanding the remainder over the bialternants
@@ -204,10 +197,8 @@ def solve_c_coefficients(iseries: ISeries, fund: FundamentalSolution, box: BoxSp
     system is triangular across Novikov degrees with an invertible diagonal
     block, so the solve is exact and unique.
     """
-    if d_max is None:
-        d_max = iseries.d_max
-    elif d_max > iseries.d_max:
-        raise ValueError(f"the I-series stops at degree {iseries.d_max}, below d_max = {d_max}")
+    box, d_max = iseries.box, iseries.d_max
+    fund = fundamental_solution(box)
     basis = box.basis
     r = c_squared(box.k)
 

@@ -27,7 +27,7 @@ from abelianizer.correspondence import (
     mirror_map,
     naive_vs_corrected,
 )
-from abelianizer.grassmannian import calibrate_rim_hook_sign, fundamental_solution
+from abelianizer.grassmannian import calibrate_rim_hook_sign
 from abelianizer.jfunctions import i_function, solve_c_coefficients
 
 
@@ -195,7 +195,7 @@ def test_criterion_11_j_i_correspondence(store):
         iseries = i_function(box, 3)
         min_z = min(zp for lp in iseries.coeffs.values() for zp in lp)
         deep_enough = deep_enough and min_z <= -8
-        res = solve_c_coefficients(iseries, fundamental_solution(box), box)
+        res = solve_c_coefficients(iseries)
         results[box] = res
     ok = all(r.consistent for r in results.values()) and deep_enough
     c_text = "; ".join(

@@ -243,6 +243,9 @@ def test_verify_all_malformed_cache(tmp_path):
     ("three-point", 2, 5, 2, 3, 43),
     ("four-point-divisor", 2, 4, 2, 4, 8),
     ("four-point-divisor", 2, 5, 2, 4, 24),
+    # omega-trivial: rank + 2^C(k,2) products
+    ("omega-trivial", 2, 4, 2, 5, 8),
+    ("omega-trivial", 3, 6, 2, 5, 28),
 ])
 def test_wdvv_instance_counts(suite, k, n, max_degree, max_insertions, instances, store):
     # instances_per_s in the benchmark divides by these counts

@@ -8,6 +8,7 @@ from abelianizer.cli import RunConfig, run_suites
 from abelianizer.partitions import BoxSpec, Partition, box_partitions
 from abelianizer.cohomology import schubert_cup
 from abelianizer.grassmannian import (
+    FundamentalSolution,
     _matmul,
     calibrate_rim_hook_sign,
     fundamental_solution,
@@ -17,7 +18,6 @@ from abelianizer.grassmannian import (
     three_point,
     two_point,
 )
-from abelianizer.jfunctions import _projective_solution
 from abelianizer.sparse import add, series_add
 
 
@@ -161,6 +161,18 @@ def test_qde_residual_zero():
         assert fund.residual(3) == []
 
 
+def test_qde_residual_sees_a_shared_z_shift():
+    # a z power one too high on every R_d, R_0 included, moves both sides of
+    # the recursion alike; R_0 off the identity at z^0 must still show
+    class Shifted(FundamentalSolution):
+        def matrix(self, d):
+            return {p + 1: R for p, R in super().matrix(d).items()}
+
+    base = fundamental_solution(B24)
+    fund = Shifted(base.basis, base.degrees, base.n, base.D, base.A)
+    assert fund.residual(3) != []
+
+
 def _times(X, M):
     # X M for a z-series X of matrices and a rational matrix M
     return series_add({}, {p: _matmul(A, M) for p, A in X.items()})
@@ -191,16 +203,15 @@ def reference_r_matrices(fund, d_max):
 
 
 SOLUTIONS = {
-    **{f"Gr({k},{n})": (fundamental_solution, BoxSpec(k, n))
-       for k, n in ((2, 4), (2, 5), (3, 5), (3, 6))},
-    **{f"P^{n - 1}": (_projective_solution, n) for n in (2, 3, 4, 5)},
+    **{f"Gr({k},{n})": BoxSpec(k, n) for k, n in ((2, 4), (2, 5), (3, 5), (3, 6))},
+    # P^{n-1} = Gr(1, n)
+    **{f"P^{n - 1}": BoxSpec(1, n) for n in (2, 3, 4, 5)},
 }
 
 
 @pytest.mark.parametrize("name", list(SOLUTIONS))
 def test_graded_solve_matches_neumann_series(name):
-    make, arg = SOLUTIONS[name]
-    fund = make(arg)
+    fund = fundamental_solution(SOLUTIONS[name])
     reference = reference_r_matrices(fund, 3)
     for d in range(4):
         # the grading: every entry of R_d at the one power deg_j - deg_i - n d

@@ -21,7 +21,6 @@ from abelianizer.jfunctions import (
     projective_j_coefficient,
     solve_c_coefficients,
     _on_factor,
-    _projective_solution,
 )
 from abelianizer.sparse import add, scale, series_add, series_mul
 
@@ -50,7 +49,7 @@ def test_divisor_derivative_identity():
     # one divisor derivative of the J-function multiplies a Novikov
     # coefficient by the divisor class plus z times its degree pairing
     for n in (2, 3, 4):
-        sol = _projective_solution(n)
+        sol = fundamental_solution(BoxSpec(1, n))
         for d in (0, 1, 2, 3):
             col = sol.column(d, 1)
             lhs = {zp: dict(rows) for zp, rows in col.items()}
@@ -165,7 +164,7 @@ def apply_abelian_solution(box, poly, d):
     # per-factor matrices act coordinate-wise on each tensor leg
     space = space_of(box)
     k = space.k
-    sol = _projective_solution(space.n)
+    sol = fundamental_solution(BoxSpec(1, space.n))
     total = {}
     for dt in lifts(d, k):
         for e, c in poly.items():
@@ -215,7 +214,7 @@ def test_anti_invariant_expand_roundtrip():
 @pytest.mark.parametrize("kn", [(2, 4), (2, 5)])
 def test_solve_c_consistent(kn, store):
     box = BoxSpec(*kn)
-    res = solve_c_coefficients(i_function(box, 3), fundamental_solution(box), box)
+    res = solve_c_coefficients(i_function(box, 3))
     assert res.consistent, res.residual
     # empirical collapse: a single constant series on the unit coordinate
     from abelianizer.cohomology import c_squared
@@ -224,17 +223,17 @@ def test_solve_c_consistent(kn, store):
 
 def test_solve_c_rejects_degrees_beyond_the_i_series(store):
     # an I_d that was never computed is not zero: reading it as zero
-    # reported residual violations at d = 2 and 3
-    fund = fundamental_solution(B24)
-    with pytest.raises(ValueError):
-        solve_c_coefficients(i_function(B24, 1), fund, B24, d_max=3)
-    res = solve_c_coefficients(i_function(B24, 3), fund, B24, d_max=1)
+    # reported residual violations at d = 2 and 3; the solve stops where
+    # the series does
+    res = solve_c_coefficients(i_function(B24, 1))
     assert res.consistent and res.d_max == 1
 
 
-def test_solve_c_abelian_case(store):
-    box = BoxSpec(1, 4)
-    res = solve_c_coefficients(i_function(box, 3), fundamental_solution(box), box)
+@pytest.mark.parametrize("n", [2, 3, 4, 5], ids=lambda n: f"Gr(1,{n})")
+def test_solve_c_abelian_case(n, store):
+    # P^{n-1} = Gr(1, n) on both sides of the solve: C is 1 on the unit
+    box = BoxSpec(1, n)
+    res = solve_c_coefficients(i_function(box, 3))
     assert res.consistent
     assert res.c_series == {P(): {(0, 0): Fraction(1)}}
     assert res.leading() == {P(): {0: Fraction(1)}}
