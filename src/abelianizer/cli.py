@@ -27,7 +27,6 @@ from .correspondence import (
     evaluate_formula,
     generate_formula,
     mirror_map,
-    mirror_roundtrip_defect,
     naive_vs_corrected,
     oracle_value,
 )
@@ -180,19 +179,15 @@ def _suite_wdvv_grass(cfg: RunConfig, store: MemoStore):
 
 
 def _suite_omega_trivial(cfg: RunConfig, store: MemoStore):
-    violations = check_omega_triviality(cfg.box(), cfg.max_degree)
+    violations = check_omega_triviality(cfg.box())
     return violations.instances, violations
 
 
 def _suite_mirror_small(cfg: RunConfig, store: MemoStore):
-    box = cfg.box()
-    mm = mirror_map(box, cfg.max_degree, store)
+    mm = mirror_map(cfg.box(), cfg.max_degree, store)
     violations = [
         {"lam": lam, "series": series} for lam, series in mm.forward.items() if series
     ]
-    defects = {lam: d for lam, d in mirror_roundtrip_defect(box, mm).items() if d}
-    if defects:
-        violations.append({"roundtrip": defects})
     return len(mm.forward) * cfg.max_degree, violations
 
 

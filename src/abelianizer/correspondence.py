@@ -57,7 +57,6 @@ from .abelian_gw import (
     wdvv_failures,
     wdvv_identities,
 )
-from .sparse import add, mul, scale
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +151,7 @@ def specialize_novikov(series: dict, k: int) -> dict:
 # so every contraction index joins exactly two brackets; is_child tells the
 # last kind from the tags.
 
-XI_NEW, OM_SLOT, UP_SLOT = ("xi", 0), ("om",), ("up",)
+OM_SLOT, UP_SLOT = ("om",), ("up",)
 
 
 @dataclass
@@ -169,31 +168,29 @@ def is_child(slot) -> bool:
 
 def generate_formula(l: int) -> FormulaTree:
     """Correction formula for l-point small-locus Grassmannian invariants: the
-    single-bracket identity at l = 3, differentiated once per further insertion."""
+    single-bracket identity at l = 3, differentiated once per further insertion.
+    Each tree carries its final labels: the root holds xi_{l-3} and the last
+    two insertions, and step t differentiates by xi_{l-4-t}."""
     if l < 3:
         raise ValueError("need at least 3 insertions")
-    groups = [(1, (XI_NEW, ("lom_s", 1), ("lom_s", 2)))]
-    for _ in range(l - 3):
-        groups = [(sign * s, grown) for sign, root in groups for s, grown in _derivatives(_shift(root))]
+    groups = [(1, (("xi", l - 3), ("lom_s", l - 2), ("lom_s", l - 1)))]
+    for t in range(l - 3):
+        xi = ("xi", l - 4 - t)
+        groups = [(sign * s, grown) for sign, root in groups for s, grown in _derivatives(root, xi)]
     return FormulaTree(l, groups)
 
 
-def _shift(br) -> tuple:
-    return tuple(_shift(s) if is_child(s) else (s[0], s[1] + 1) if s[0] in ("xi", "lom_s") else s
-                 for s in br)
-
-
-def _derivatives(br):
-    """The terms (sign, bracket) of the derivative of br by xi_0: the product
-    rule puts xi_0 into br, each xi or child slot becomes minus the child
-    (xi_0, slot, om, up), and each child is differentiated in place."""
-    yield 1, (XI_NEW,) + br
+def _derivatives(br, xi):
+    """The terms (sign, bracket) of the derivative of br by xi: the product
+    rule puts xi into br, each xi or child slot becomes minus the child
+    (xi, slot, om, up), and each child is differentiated in place."""
+    yield 1, (xi,) + br
     for i, slot in enumerate(br):
         child = is_child(slot)
         if child or slot[0] == "xi":
-            yield -1, br[:i] + ((XI_NEW, slot, OM_SLOT, UP_SLOT),) + br[i + 1:]
+            yield -1, br[:i] + ((xi, slot, OM_SLOT, UP_SLOT),) + br[i + 1:]
         if child:
-            for s, grown in _derivatives(slot):
+            for s, grown in _derivatives(slot, xi):
                 yield s, br[:i] + (grown,) + br[i + 1:]
 
 
@@ -353,7 +350,7 @@ def naive_vs_corrected(box: BoxSpec, d_max: int, store: MemoStore) -> dict:
     }
 
 
-def check_omega_triviality(box: BoxSpec, d_max: int) -> list[dict]:
+def check_omega_triviality(box: BoxSpec) -> list[dict]:
     """Triviality of the specialized small quantum product with omega.
 
     (i) omega * lift(lam) has no Novikov corrections after specialization;
@@ -394,45 +391,16 @@ def check_omega_triviality(box: BoxSpec, d_max: int) -> list[dict]:
 # ---------------------------------------------------------------------------
 # mirror map
 
-def _ps_exp(p: dict, order: int) -> dict:
-    """exp of a power series with no constant term, up to q^order."""
-    if 0 in p:
-        raise ValueError("exp needs vanishing constant term")
-    out = {0: Fraction(1)}
-    term = {0: Fraction(1)}
-    for m in range(1, order + 1):
-        term = scale(mul(term, p, cap=order + 1), Fraction(1, m))
-        if not term:
-            break
-        out = add(out, term)
-    return out
-
-
-def _ps_compose(p: dict, inner: dict, order: int) -> dict:
-    """p(inner) up to q^order, for inner with no constant term."""
-    out = {0: p[0]} if p.get(0) else {}
-    power = {0: Fraction(1)}
-    for e in range(1, max(p, default=0) + 1):
-        power = mul(power, inner, cap=order + 1)
-        if p.get(e):
-            out = add(out, power, p[e])
-    return out
-
-
 @dataclass
 class MirrorMapSeries:
     """Coordinate change between lifted flat coordinates and the flat
     coordinates of the induced structure, restricted to the divisor locus.
 
     forward[lam][d] is the q^d correction to the coordinate of lam, with
-    q the Novikov variable dressed by the divisor exponential; inverse holds
-    the reverted series in the dressed variable of the other frame.
+    q the Novikov variable dressed by the divisor exponential.
     """
 
-    box: BoxSpec
-    order: int
     forward: dict
-    inverse: dict
 
     def is_identity(self) -> bool:
         return all(not s for s in self.forward.values())
@@ -442,9 +410,11 @@ def mirror_map(box: BoxSpec, trunc: int, store: MemoStore) -> MirrorMapSeries:
     """Divisor-locus mirror transform from 2-point omega corrections.
 
     The correction to the coordinate of sigma_lam at degree d is the bracket
-    I_{2,d}(lift(lam^vee) omega, omega); by Fano grading these all vanish
-    for Grassmannians, making the small-locus map the identity, but the
-    series plumbing is exact for any coefficients.
+    I_{2,d}(lift(lam^vee) omega, omega), computed for d = 1..trunc as the
+    check.  By the dimension rule each one is 0: the insertions have
+    codimension |lam^vee| + 2 C(k,2) = k(n-1) - |lam|, while a 2-point
+    invariant of (P^{n-1})^k at degree d >= 1 needs k(n-1) + n d - 1.  So
+    the map is the identity, its own inverse, and no reversion is needed.
     """
     forward = {}
     for lam in box.basis:
@@ -454,40 +424,7 @@ def mirror_map(box: BoxSpec, trunc: int, store: MemoStore) -> MirrorMapSeries:
             if c:
                 series[d] = c
         forward[lam] = series
-    inverse = invert_mirror_series(box, forward, trunc)
-    return MirrorMapSeries(box, trunc, forward, inverse)
-
-
-def invert_mirror_series(box: BoxSpec, forward: dict, order: int) -> dict:
-    """Revert t~ = s + F(u), u = Q e^{s_1}, to s = t~ + G(v), v = Q e^{t~_1}.
-
-    v = u exp(F_1(u)), so u(v) solves u = v exp(-F_1(u)) by order-by-order
-    substitution; then G_i = -F_i(u(v)).
-    """
-    f1 = dict(forward.get(grassmannian.SIGMA_1, {}))
-    u = {1: Fraction(1)}  # u as a series in v
-    for _ in range(order):
-        fu = _ps_compose(f1, u, order)
-        u = mul({1: Fraction(1)}, _ps_exp(scale(fu, -1), order), cap=order + 1)
-    inverse = {}
-    for lam, series in forward.items():
-        gi = _ps_compose(series, u, order)
-        inverse[lam] = {e: -c for e, c in gi.items() if e >= 1 and c}
-    return inverse
-
-
-def mirror_roundtrip_defect(box: BoxSpec, fwd: MirrorMapSeries) -> dict:
-    """Compose the map with its inverse; returns per-coordinate defects
-    (all-zero series when the reversion is exact)."""
-    g1 = dict(fwd.inverse.get(grassmannian.SIGMA_1, {}))
-    # u(v) reconstructed from the inverse: u = v exp(G_1(v))
-    order = fwd.order
-    u = mul({1: Fraction(1)}, _ps_exp(g1, order), cap=order + 1)
-    defects = {}
-    for lam, series in fwd.forward.items():
-        fu = _ps_compose(series, u, order)
-        defects[lam] = add(fu, fwd.inverse.get(lam, {}))
-    return defects
+    return MirrorMapSeries(forward)
 
 
 # ---------------------------------------------------------------------------

@@ -39,8 +39,9 @@ def scale(p: dict, c) -> dict:
 def mul(p: dict, q: dict, cap=None) -> dict:
     """p * q, dropping every term with an exponent (or an entry of one) >= cap.
 
-    cap = n gives the relations H_i^n = 0; on a power series cap = order + 1
-    truncates above the order.
+    cap = n gives the relations H_i^n = 0.  On int exponents it serves only
+    H^n = 0 in jfunctions.projective_j_closed_form; no power series is
+    truncated here.
     """
     out = {}
     vector = bool(p) and isinstance(next(iter(p)), tuple)

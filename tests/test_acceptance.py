@@ -172,8 +172,8 @@ def test_criterion_08_assembled_wdvv(store):
 
 def test_criterion_09_omega_triviality(store):
     t0 = time.time()
-    v24 = check_omega_triviality(BoxSpec(2, 4), 2)
-    v36 = check_omega_triviality(BoxSpec(3, 6), 2)
+    v24 = check_omega_triviality(BoxSpec(2, 4))
+    v36 = check_omega_triviality(BoxSpec(3, 6))
     ok = _report(9, not (v24 or v36),
                  "small quantum product with omega is trivial, Gr(2,4) and Gr(3,6)", t0)
     assert ok, (v24, v36)
