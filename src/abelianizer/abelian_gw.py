@@ -13,12 +13,13 @@ kunneth_allows is this rule; _gw applies it before the store, so no
 classes it makes a 3-mark bracket <A, B, C>_d the coefficient of
 prod_i H_i^(n-1+n d_i) in the product A B C, and with the divisor axiom a
 2-mark one a coefficient of A B (gw_of_classes), so neither is expanded
-term by term.  With four or more marks gw_of_classes applies the same
-formula to whole classes (Behrend, alg-geom/9710014): a factor with d_i = 0
-contributes only its classical integral, so the bracket is an invariant of
-(P^{n-1})^|P|, P the factors with d_i > 0, times an integral over the
-others, and it is 0 at d = 0.  The store so holds keys with k' = |P| <= k
-factors; at d <= 1 they are keys of P^{n-1}, shared by every k.
+term by term.  With four or more marks a factor with d_i = 0 contributes
+only its classical integral (Behrend, alg-geom/9710014), which is 1 for
+monomial marks that kunneth_allows passes; so _gw reads such a key on the
+factors P with d_i > 0, a key of (P^{n-1})^|P|, and gw_of_classes splits
+whole classes the same way.  The store so holds keys with every d_i > 0
+and k' = |P| <= k factors; at d <= 1 they are keys of P^{n-1}, shared by
+every k.
 Invariants with four or more insertions are reconstructed through the
 divisor relation and the associativity (WDVV) constraints of the big
 quantum product, with exact memoization.
@@ -44,10 +45,13 @@ H_i by the divisor axiom yields, for a target insertion g = H_i g':
                             + d_i <x1, B, g' x2>_d - d_i <g', B, x1 x2>_d
                             + P(H_i, x1 | g', x2) - P(H_i, g' | x1, x2)
 
-with P the sum of proper splittings (e and f both nonzero).  The first
-term on the right is evaluated with g' as its next factored insertion, so
-the measure (total degree, number of marks, codim of the factored
-insertion) drops lexicographically at every step.
+with P the sum of proper splittings (e and f both nonzero).  A step takes
+a key with every d_i > 0, so each column has three positive entries or
+more, and marks g = H_i g' and x1 with x1_i >= g_i (_factoring).  The hop
+term <H_i x1, g', x2, B>_d then raises the sum of squared exponents by
+2 (x1_i - g_i) + 2 > 0, and the other terms have fewer marks or a lower
+degree: (total degree, marks, minus that sum) drops at every step, and no
+key can reach itself.
 
 E is computed in one place, wdvv_contraction, for the potential of any
 space that supplies dim, c1_degree, dual and basis_of_codim: this module's
@@ -60,9 +64,7 @@ B, d), since the rule reads only column sums.  The skip is exact: in a
 term <u, v, S, mu>_e <mu^dual, x, y, T>_f the factors' ex_i add up to the
 identity's (mu, mu^dual add n - 1 on each factor), their bounds |S| and
 |T| add up to m - 4, and e_i = f_i = 0 where d_i = 0, so every term has a
-factor that _gw answers 0 without the store.  A WDVV step picks its x1
-so that its hop term <H_i x1, g', x2, B>_d is no key in progress (x1 = g'
-gives the key itself).
+factor that _gw answers 0 without the store.
 
 A contraction reads its left factors as half-contractions
 {mu: <u, v, mu, S>_e}, and its right factors <mu^dual, x, y, T>_f from one
@@ -231,8 +233,9 @@ class MemoStore:
         """Read the entries of the cache file at path (default self.path).
 
         An entry that _closed_form settles (files written before the
-        Kunneth filter hold them) is checked against it and dropped, and
-        the next save then rewrites the file without it.
+        Kunneth filter hold them) is checked against it and dropped, one
+        with a factor of degree 0 (before 0.12.0) is read on the other
+        factors, as _gw reads it, and the next save rewrites the file so.
 
         Raises CacheVersionError on a wrong header, and CacheFormatError on a
         path that is a directory or a file that is not UTF-8 text, on a
@@ -278,6 +281,9 @@ class MemoStore:
                         f"{path}:{lineno}: wrong entry: {key}: {value}, the product formula gives {closed}")
                 dropped = True
                 continue
+            if 0 in d:
+                d, ins = _positive_part(d, ins)
+                key, dropped = (len(d), n, d, ins), True
             old = entries.setdefault(key, value)
             # one value per value text, so a repeat is the same object
             if old is not value and old != value:
@@ -350,38 +356,23 @@ def three_point(a: PClass, b: PClass, c: PClass, d: tuple) -> Fraction:
     return Fraction(integrate(cup(coeff, c)))
 
 
-def _pick_pivot(ins, policy: str):
-    # ins is sorted in descending lex order
-    return ins[0] if policy == "default" else ins[-1]
-
-
-def _factoring(space, ins, dist, policy: str, chain):
-    """(i, g', x1, others, hop key) for a WDVV step on ins that factors dist
-    as H_i g' and takes x1 out of the other marks; the hop key is that of
-    <H_i x1, g', others>, None when H_i x1 = 0.  Of the candidates, in
-    policy order (i, then x1), the first whose hop key is not in chain (the
-    keys in progress, ins among them) is taken; else the first whose hop key
-    is ins itself (x1 = g', where the identity reads <ins> = <ins>, and the
-    step factors g' instead); else the first."""
-    rest = list(_remove_one(ins, dist))
-    factors = [j for j, x in enumerate(dist) if x > 0]
-    if policy != "default":
-        rest.reverse()
-        factors.reverse()
-    first = None
-    for i in factors:
-        gprime = tuple(x - (j == i) for j, x in enumerate(dist))
-        h_i = _unit_vec(space.k, i)
-        for j, x1 in enumerate(rest):
-            others = rest[:j] + rest[j + 1:]
-            hop = _mono_cup(h_i, x1, space.n)
-            hop_ins = None if hop is None else tuple(sorted((*others, hop, gprime), reverse=True))
-            choice = (i, gprime, x1, others, hop_ins)
-            if hop_ins not in chain:
-                return choice
-            if first is None or hop_ins == ins != first[4]:
-                first = choice
-    return first
+def _factoring(ins, policy: str):
+    """(i, g', x1, others), x2 first in others, for the WDVV step on ins:
+    default takes as pivot H_i g' the mark with the least positive exponent
+    on any factor (first factor and mark of a tie), x1 one with the largest
+    on i; alt takes on the last factor the largest as x1, the second-largest
+    as pivot, and reverses others.  Both give x1_i >= (H_i g')_i > 0."""
+    k = len(ins[0])
+    if policy == "default":
+        _, i, j = min((g[i], i, j) for i in range(k) for j, g in enumerate(ins) if g[i])
+        pivot, rest = ins[j], ins[:j] + ins[j + 1:]
+        x1 = max(rest, key=lambda e: e[i])
+        others = _remove_one(rest, x1)
+    else:
+        i = k - 1
+        *_, pivot, x1 = sorted(ins, key=lambda e: e[i])
+        others = _remove_one(_remove_one(ins, x1), pivot)[::-1]
+    return i, tuple(x - (j == i) for j, x in enumerate(pivot)), x1, others
 
 
 def _mono_cup(a: Mono, b: Mono, n: int):
@@ -399,10 +390,10 @@ def gw_invariant(space: ProductSpace, insertions, d, store: MemoStore, policy: s
     every rational value of the package.
     """
     monos = sorted((tuple(int(x) for x in ins) for ins in insertions), reverse=True)
-    return Fraction(_gw(space, tuple(monos), tuple(d), store, policy, None))
+    return Fraction(_gw(space, tuple(monos), tuple(d), store, policy))
 
 
-def _gw(space, ins, d, store, policy, hop) -> int:
+def _gw(space, ins, d, store, policy) -> int:
     if min(d) < 0:
         return 0
     if len(ins) < 3:
@@ -412,26 +403,35 @@ def _gw(space, ins, d, store, policy, hop) -> int:
     closed = _closed_form(space.n, ins, d)
     if closed is not None:
         return closed
-    key = (space.k, space.n, d, ins)
+    if 0 in d:
+        d, ins = _positive_part(d, ins)  # m >= 4, so some d_i > 0
+    key = (len(d), space.n, d, ins)
     cached = store.get(key)
     if cached is not None:
         return cached
+    if len(d) != space.k:
+        space = ProductSpace(len(d), space.n)
 
     if any(sum(e) == 0 for e in ins):
         value = 0  # fundamental-class axiom; here d != 0, since m >= 4
     else:
         div = next((e for e in ins if sum(e) == 1), None)
         if div is not None:
-            i = div.index(1)
-            rest = _remove_one(ins, div)
-            value = d[i] * _gw(space, rest, d, store, policy, None) if d[i] else 0
+            value = d[div.index(1)] * _gw(space, _remove_one(ins, div), d, store, policy)
         else:
-            value = _wdvv_step(space, ins, d, store, policy, hop)
+            value = _wdvv_step(space, ins, d, store, policy)
 
     if value.denominator != 1:
         raise ArithmeticError(f"non-integral invariant {value} for {key}")
     store.put(key, value)
     return value
+
+
+def _positive_part(d, ins):
+    """(d, ins) on the factors with d_i > 0; for marks kunneth_allows passes
+    the others' columns add up to n - 1, so they integrate to 1."""
+    cols = itertools.compress(zip(*ins), d)
+    return tuple(itertools.compress(d, d)), tuple(sorted(zip(*cols), reverse=True))
 
 
 def kunneth_allows(n: int, marks, d, excess: int) -> bool:
@@ -464,41 +464,32 @@ def _remove_one(ins: tuple, item) -> tuple:
     return ins[:idx] + ins[idx + 1 :]
 
 
-def _wdvv_step(space, ins, d, store, policy, hop) -> int:
+def _wdvv_step(space, ins, d, store, policy) -> int:
     n = space.n
-    # hop: None, or (g', keys whose steps are in progress) from the hop term
-    # of the step that called this one
-    dist, chain = hop or (_pick_pivot(ins, policy), ())
-    chain += (ins,)
-    i, gprime, x1, others, hop_ins = _factoring(space, ins, dist, policy, chain)
-    while hop_ins == ins:
-        # x1 = g': the identity is trivial, and reading its hop term would
-        # compute ins a second time; factor g' instead, as that term would
-        dist = gprime
-        i, gprime, x1, others, hop_ins = _factoring(space, ins, dist, policy, chain)
-    x2, back = others[0], tuple(others[1:])
+    i, gprime, x1, others = _factoring(ins, policy)
+    x2, back = others[0], others[1:]
+    h_i = _unit_vec(space.k, i)
 
     total = 0
 
-    if hop_ins is not None:
-        total += _gw(space, hop_ins, d, store, policy, (gprime, chain))
+    hop = _mono_cup(h_i, x1, n)
+    if hop is not None:
+        total += _gw(space, tuple(sorted((*others, hop, gprime), reverse=True)), d, store, policy)
 
-    if d[i]:
-        a_cup = _mono_cup(gprime, x2, n)
-        if a_cup is not None:
-            new_ins = tuple(sorted(back + (x1, a_cup), reverse=True))
-            total += d[i] * _gw(space, new_ins, d, store, policy, None)
-        c_cup = _mono_cup(x1, x2, n)
-        if c_cup is not None:
-            new_ins = tuple(sorted(back + (gprime, c_cup), reverse=True))
-            total -= d[i] * _gw(space, new_ins, d, store, policy, None)
+    a_cup = _mono_cup(gprime, x2, n)
+    if a_cup is not None:
+        new_ins = tuple(sorted(back + (x1, a_cup), reverse=True))
+        total += d[i] * _gw(space, new_ins, d, store, policy)
+    c_cup = _mono_cup(x1, x2, n)
+    if c_cup is not None:
+        new_ins = tuple(sorted(back + (gprime, c_cup), reverse=True))
+        total -= d[i] * _gw(space, new_ins, d, store, policy)
 
     def value(marks, e):
-        return _gw(space, tuple(sorted(marks, reverse=True)), e, store, policy, None)
+        return _gw(space, tuple(sorted(marks, reverse=True)), e, store, policy)
 
     # P(u, v | x, y): the contraction over proper splittings only
     proper = [(e, f) for e, f in space.splittings(d) if any(e) and any(f)]
-    h_i = _unit_vec(space.k, i)
     subs, halves = sub_multisets(back), {}
     total += wdvv_contraction(space, h_i, x1, gprime, x2, subs, proper, value, halves)
     total -= wdvv_contraction(space, h_i, gprime, x1, x2, subs, proper, value, halves)
@@ -677,7 +668,7 @@ def two_point(space: ProductSpace, a: Mono, b: Mono, d: tuple, store: MemoStore)
         raise ValueError("2-point invariants are classical at degree 0; not defined here")
     i = next(j for j, x in enumerate(d) if x > 0)
     ins = tuple(sorted((_unit_vec(space.k, i), tuple(a), tuple(b)), reverse=True))
-    return Fraction(_gw(space, ins, d, store, "default", None), d[i])
+    return Fraction(_gw(space, ins, d, store, "default"), d[i])
 
 
 def gw_of_classes(space: ProductSpace, classes, d: tuple, store: MemoStore):
@@ -697,11 +688,12 @@ def gw_of_classes(space: ProductSpace, classes, d: tuple, store: MemoStore):
 
         <p_1 z_1, ..., p_m z_m>_d = <p_1, ..., p_m>_{d_P} * int_Z z_1 ... z_m
 
-    with the first bracket on (P^{n-1})^|P|.  So each class is grouped by
-    its P-exponents (and the degree of its Z-part); every choice of one
-    group per class that passes the dimension rule on both sides reads its
-    P-invariant from the store, with |P| factors, and, where that is
-    nonzero, multiplies it by the coefficient of prod_Z H^(n-1) in the
+    with the first bracket on (P^{n-1})^|P|.  _gw splits one monomial so;
+    splitting whole classes keeps the combinations few.  Each class is
+    grouped by its P-exponents (and the degree of its Z-part); every choice
+    of one group per class that passes the dimension rule on both sides
+    reads its P-invariant from the store, with |P| factors, and, where that
+    is nonzero, multiplies it by the coefficient of prod_Z H^(n-1) in the
     product of the chosen Z-parts.  At d = 0 (no P) the value is 0: degree-0
     invariants with four or more marks vanish, and fewer than two marks are
     unstable there.  With every d_i > 0 there is no Z, and this is the loop
@@ -733,7 +725,7 @@ def gw_of_classes(space: ProductSpace, classes, d: tuple, store: MemoStore):
                 or sum([z for (_, z), _ in combo]) != z_top):
             continue
         monos = tuple(sorted([p for (p, _), _ in combo], reverse=True))
-        value = _gw(sub, monos, d_pos, store, "default", None)
+        value = _gw(sub, monos, d_pos, store, "default")
         if value:
             total += value * _top_coefficient([z for _, z in combo], n)
     return total
@@ -784,7 +776,7 @@ def check_wdvv(space: ProductSpace, d_total_max: int, n_marks_max: int, store: M
     """
 
     def value(marks, d):
-        return _gw(space, tuple(sorted(marks, reverse=True)), d, store, "default", None)
+        return _gw(space, tuple(sorted(marks, reverse=True)), d, store, "default")
 
     pairs = _pairs_by_codim(space, d_total_max, n_marks_max)
     # column sums of a quad -> (number of its identities, the (back, d) kept)

@@ -108,7 +108,7 @@ def test_three_point_closed_form_matches_quantum_ring(space):
         a, b, c = (mono(space, e) for e in triple)
         for d in space.curve_classes(3):
             want = three_point(a, b, c, d)
-            assert _gw(space, tuple(sorted(triple, reverse=True)), d, store, "default", None) == want, \
+            assert _gw(space, tuple(sorted(triple, reverse=True)), d, store, "default") == want, \
                 (triple, d)
             nonzero += want != 0
     assert nonzero >= len(space.basis), nonzero
@@ -316,7 +316,7 @@ def reference_gw_of_classes(space, classes, d, store):
                 continue  # unstable; degree-0 two-point never contributes here
             total += coeff * two_point(space, monos[0], monos[1], d, store)
         else:
-            total += coeff * _gw(space, tuple(sorted(monos, reverse=True)), d, store, "default", None)
+            total += coeff * _gw(space, tuple(sorted(monos, reverse=True)), d, store, "default")
     return total
 
 
@@ -530,9 +530,10 @@ def test_memo_store_rejects_unreadable_path(tmp_path, kind):
 
 def test_memo_store_loads_closed_form_entries_without_keeping_them(tmp_path):
     # a file written before the Kunneth filter holds every key the engine
-    # evaluated, 3-mark and forbidden ones too: it loads, each such entry
-    # checked and left out; the next save writes the file once without
-    # them, and a save after that leaves it alone
+    # evaluated, 3-mark and forbidden ones too, on the whole product: it
+    # loads, each such entry checked and left out and each entry with a
+    # factor of degree 0 read on its other factors; the next save writes
+    # the file once without them, and a save after that leaves it alone
     space, engine, old = ProductSpace(2, 3), MemoStore(), MemoStore()
     for m in (3, 4, 5):
         for combo, d in admissible_tuples(space, m, 2):
@@ -542,8 +543,10 @@ def test_memo_store_loads_closed_form_entries_without_keeping_them(tmp_path):
     old.save(path)
     before = _stamp(path)
     st = MemoStore().load(path)
-    kept = {key: v for key, v in old.data.items() if _product_formula_value(space, key[3], key[2]) is None}
+    kept = {_positive_factors_key(key): v for key, v in old.data.items()
+            if _product_formula_value(space, key[3], key[2]) is None}
     assert st.data == kept and 0 < len(kept) < len(old)
+    assert any(key[0] == 1 for key in kept) and any(key[0] == 2 for key in kept)
     st.save(path)
     assert _stamp(path) != before
     compact = _stamp(path)
@@ -553,12 +556,37 @@ def test_memo_store_loads_closed_form_entries_without_keeping_them(tmp_path):
     assert _stamp(path) == compact
 
 
+def _positive_factors_key(key):
+    # the key on the factors of positive degree, the one the engine stores
+    k, n, d, ins = key
+    pos = [i for i in range(k) if d[i]]
+    marks = sorted((tuple(e[i] for i in pos) for e in ins), reverse=True)
+    return (len(pos), n, tuple(d[i] for i in pos), tuple(marks))
+
+
 def test_memo_store_conflicting_entries(tmp_path):
     path = tmp_path / "bad.txt"
     key = "2,2|1,2|1.1;1.1;1.1;1.1;1.1"
     path.write_text(f"{MemoStore.VERSION}\n{key}\t1/1\n{key}\t2/1\n")
     with pytest.raises(CacheFormatError, match=":3: conflicting entry"):
         MemoStore().load(path)
+
+
+@pytest.mark.parametrize("lines", [
+    ["1,4|1|3;2;2;1\t1/1", "2,4|1,0|3.0;2.3;2.0;1.0\t2/1"],
+    ["2,4|0,1|0.3;3.2;0.2;0.1\t1/1", "2,4|1,0|3.0;2.3;2.0;1.0\t2/1"],
+], ids=["stored-form", "two-product-forms"])
+def test_memo_store_projected_entry_conflict(tmp_path, lines):
+    # an entry with a factor of degree 0 is read on its other factors; where
+    # that meets another entry of a different value the file is in error,
+    # and the store keeps what it held
+    path = tmp_path / "old.cache"
+    path.write_text("\n".join([MemoStore.VERSION, *lines]) + "\n")
+    st = _golden_store()
+    with pytest.raises(CacheFormatError, match="old.cache:3: conflicting entry: "
+                       r"\(1, 4, \(1,\), \(\(3,\), \(2,\), \(2,\), \(1,\)\)\): 1 earlier, 2 here"):
+        st.load(path)
+    assert st.data == dict(GOLDEN_ENTRIES)
 
 
 def test_memo_store_save_is_atomic(tmp_path, monkeypatch):
@@ -589,7 +617,7 @@ GOLDEN_ENTRIES = [
     ((2, 2, (1, 1), ((1, 1),) * 4 + ((0, 0),)), Fraction(0)),
     ((1, 3, (3,), ((2,),) * 8), Fraction(12)),
     ((1, 3, (1,), ((2,), (2,), (1,), (1,))), Fraction(-3)),
-    ((2, 4, (1, 0), ((3, 0), (2, 3), (2, 0), (1, 0))), Fraction(1)),
+    ((2, 4, (1, 1), ((3, 3), (2, 2), (2, 2), (1, 0))), Fraction(1)),
 ]
 GOLDEN_TEXT = (
     "abelian-gw-cache v1\n"
@@ -598,7 +626,7 @@ GOLDEN_TEXT = (
     "2,2|1,1|1.1;1.1;1.1;1.1;0.0\t0/1\n"
     "2,2|1,2|1.1;1.1;1.1;1.1;1.1\t1/1\n"
     "2,2|1,2|1.1;1.1;1.1;1.1;1.1;1.0\t1/1\n"
-    "2,4|1,0|3.0;2.3;2.0;1.0\t1/1\n"
+    "2,4|1,1|3.3;2.2;2.2;1.0\t1/1\n"
 )
 
 
@@ -783,7 +811,7 @@ def test_divisor_consistency_across_cache(store):
         rest = list(ins)
         rest.remove(div)
         i = div.index(1)
-        expect = d[i] * _gw(space, tuple(sorted(rest, reverse=True)), d, store, "default", None) if d[i] else 0
+        expect = d[i] * _gw(space, tuple(sorted(rest, reverse=True)), d, store, "default") if d[i] else 0
         assert value == expect, (k, n, d, ins)
         checked += 1
     assert checked > 10
@@ -834,7 +862,7 @@ def test_sub_multisets_weights():
 
 def _product_value(space):
     store = MemoStore()
-    return lambda marks, d: _gw(space, tuple(sorted(marks, reverse=True)), d, store, "default", None)
+    return lambda marks, d: _gw(space, tuple(sorted(marks, reverse=True)), d, store, "default")
 
 
 @pytest.mark.parametrize("space, d_max, n_marks_max, make_value", [
@@ -862,11 +890,13 @@ def test_contraction_matches_position_masks(space, d_max, n_marks_max, make_valu
 def test_wdvv_check_work_set():
     # the store holds only the invariants that cost reconstruction: the
     # product formula settles every 3-mark and every forbidden key without
-    # it, and no key is computed twice (a miss per entry)
+    # it, a key with a factor of degree 0 is read on P^3, and no key is
+    # computed twice (a miss per entry)
     st = MemoStore()
     assert check_wdvv(ProductSpace(2, 4), 1, 5, st) == []
     stats = st.stats()
-    assert (stats["entries"], stats["misses"]) == (74, 74)
+    assert (stats["entries"], stats["misses"]) == (4, 4)
+    assert {key[:3] for key in st.data} == {(1, 4, (1,))}
 
 
 def test_wdvv_check_mark_bound():
@@ -880,10 +910,11 @@ def test_wdvv_check_mark_bound():
 def test_wdvv_check_keeps_no_halves():
     # a half-contraction kept past its check would carry a corrupted store's
     # values into the check of a clean one.  (P^1)^3 is checked by no other
-    # test, so no earlier check can have left clean halves behind.
+    # test, so no earlier check can have left clean halves behind.  Its
+    # keys at (0, 1, 1) and the like are read on P^1 x P^1.
     space = ProductSpace(3, 2)
     bad = MemoStore()
-    bad.put((3, 2, (0, 1, 1), ((1, 1, 0), (0, 1, 1), (0, 1, 1), (0, 1, 1))), Fraction(2))  # truly 1
+    bad.put((2, 2, (1, 1), ((1, 1), (1, 1), (1, 1), (1, 0))), Fraction(2))  # truly 1
     assert check_wdvv(space, 3, 5, bad) != []
     assert check_wdvv(space, 3, 5, MemoStore()) == []
 
@@ -1042,24 +1073,31 @@ def test_wdvv_check_pinned_on_p4_squared(monkeypatch):
                  if _product_formula_allows(space, quad + back, d, len(back))]
     assert len(kept) == 18228
     assert kept == reference
-    assert (len(st), st.misses) == (808, 808)
+    assert (len(st), st.misses) == (536, 536)
+
+
+def _counting_steps(monkeypatch):
+    # {(d, marks): WDVV steps taken on that key}
+    steps = Counter()
+    step = abelian_gw._wdvv_step
+
+    def counting(sp, ins, d, store, policy):
+        steps[(d, ins)] += 1
+        return step(sp, ins, d, store, policy)
+
+    monkeypatch.setattr(abelian_gw, "_wdvv_step", counting)
+    return steps
 
 
 @pytest.mark.parametrize("space, d_max, n_marks_max", [
-    (ProductSpace(2, 4), 1, 5),
+    (ProductSpace(2, 4), 2, 5),
     (ProductSpace(2, 3), 2, 6),
 ], ids=["(P3)^2", "(P2)^2"])
 def test_wdvv_check_steps_each_key_once(monkeypatch, space, d_max, n_marks_max):
     # a WDVV step never re-enters a key that is being computed, so no key is
     # reconstructed twice
-    steps = Counter()
-    step = abelian_gw._wdvv_step
+    steps = _counting_steps(monkeypatch)
 
-    def counting(sp, ins, d, store, policy, hop):
-        steps[(d, ins)] += 1
-        return step(sp, ins, d, store, policy, hop)
-
-    monkeypatch.setattr(abelian_gw, "_wdvv_step", counting)
     st = MemoStore()
     assert check_wdvv(space, d_max, n_marks_max, st) == []
     assert len(steps) > 20 and max(steps.values()) == 1
@@ -1071,21 +1109,52 @@ def test_wdvv_check_steps_each_key_once(monkeypatch, space, d_max, n_marks_max):
     ([(4,), (3,), (3,), (3,), (3,)], (2,), 2),
 ], ids=["H3.H2^4", "H4.H3^4"])
 def test_trivial_identity_steps_each_key_once(monkeypatch, marks, d, value):
-    # on P^4 every candidate WDVV step for these keys, and for a key that
-    # the first one's step reaches, has its hop term in progress, and one
-    # of them takes x1 = g', whose hop term is the key itself; the step
-    # factors g' instead of reading that term, so no key in progress is
-    # computed a second time
-    steps = Counter()
-    step = abelian_gw._wdvv_step
-
-    def counting(sp, ins, d, store, policy, hop):
-        steps[(d, ins)] += 1
-        return step(sp, ins, d, store, policy, hop)
-
-    monkeypatch.setattr(abelian_gw, "_wdvv_step", counting)
+    # on P^4 these keys have all their marks equal but one, so a step whose
+    # x1 equalled its pivot would read the key itself as its hop term; the
+    # pivot order raises the sum of squared exponents at every hop, so no
+    # key in progress is computed a second time
+    steps = _counting_steps(monkeypatch)
     for policy in ("default", "alt"):
         steps.clear()
         st = MemoStore()
         assert gw_invariant(ProductSpace(1, 5), marks, d, st, policy) == value
         assert max(steps.values()) == 1 and st.misses == len(st), (policy, st.stats())
+
+
+@pytest.mark.parametrize("n", [7, 8], ids=["P6", "P7"])
+def test_no_key_computed_twice_on_large_projective_spaces(monkeypatch, n):
+    # every 4- and 5-mark tuple of marks of codimension >= 2 at d <= 2: the
+    # pivot order cannot cycle, so under either policy each key takes one
+    # WDVV step and one miss
+    space = ProductSpace(1, n)
+    tuples = [(combo, d) for m in (4, 5) for combo, d in admissible_tuples(space, m, 2)
+              if min(map(sum, combo)) >= 2]
+    steps = _counting_steps(monkeypatch)
+    for policy in ("default", "alt"):
+        steps.clear()
+        st = MemoStore()
+        for combo, d in tuples:
+            gw_invariant(space, combo, d, st, policy)
+        assert len(steps) > 20 and max(steps.values()) == 1, policy
+        assert st.misses == len(st), (policy, st.stats())
+
+
+@pytest.mark.parametrize("space, d_max, m_max, reconstructed, differ", [
+    (ProductSpace(1, 5), 3, 6, 13, 12),
+    (ProductSpace(2, 3), 2, 6, 69, 51),
+], ids=["P4", "(P2)^2"])
+def test_alt_policy_takes_another_route(space, d_max, m_max, reconstructed, differ):
+    # the policy-independence tests have teeth only where the two pivot
+    # orders reconstruct through different keys: count the tuples (marks of
+    # codimension >= 2) whose fresh stores hold different key sets
+    seen = apart = 0
+    for m in range(4, m_max + 1):
+        for combo, d in admissible_tuples(space, m, d_max):
+            if min(map(sum, combo)) < 2:
+                continue
+            default, alt = MemoStore(), MemoStore()
+            assert gw_invariant(space, combo, d, default) == gw_invariant(space, combo, d, alt, "alt")
+            if default.data or alt.data:
+                seen += 1
+                apart += default.data.keys() != alt.data.keys()
+    assert (seen, apart) == (reconstructed, differ)

@@ -261,7 +261,7 @@ def test_five_point_symmetry_draws_pinned_sample():
     store = MemoStore()
     (report,) = run_suites(RunConfig(k=2, n=4, max_degree=2, suites=("five-point-symmetry",)), store)
     assert report.passed and report.instances == 50
-    assert store.stats() == {"entries": 246, "hits": 279, "misses": 246}
+    assert store.stats() == {"entries": 146, "hits": 335, "misses": 146}
 
 
 def test_cache_roundtrip(tmp_path, capsys):

@@ -487,16 +487,20 @@ def test_bracket_cache_dies_with_store():
 
 
 def test_cache_file_with_product_keys_still_loads(tmp_path):
-    # a file written before the split holds keys of (P^3)^2 with a factor of
-    # degree 0; it still loads, and gives the values a fresh store gives
-    old = MemoStore()
-    gw_invariant(ProductSpace(2, 4), [(3, 0), (2, 3), (2, 0), (1, 0)], (1, 0), old)
-    assert "2,4|1,0|3.0;2.3;2.0;1.0" in {MemoStore.key_text(key) for key in old.data}
-    old.save(tmp_path / "old.cache")
-    loaded = MemoStore().load(tmp_path / "old.cache")
-    assert loaded.data == old.data
-    fresh = naive_vs_corrected(B24, 1, MemoStore())
-    assert naive_vs_corrected(B24, 1, loaded) == fresh
+    # a file written before version 0.12.0 holds keys of (P^3)^2 with a
+    # factor of degree 0; it loads each on its other factors, the key a
+    # fresh store holds, its next save rewrites it so, and it gives the
+    # values a fresh store gives
+    path = tmp_path / "old.cache"
+    path.write_text(f"{MemoStore.VERSION}\n2,4|1,0|3.0;2.3;2.0;1.0\t1/1\n")
+    loaded = MemoStore().load(path)
+    assert loaded.data == {MemoStore.parse_key_text("1,4|1|3;2;2;1"): 1}
+    fresh = MemoStore()
+    gw_invariant(ProductSpace(2, 4), [(3, 0), (2, 3), (2, 0), (1, 0)], (1, 0), fresh)
+    assert fresh.data == loaded.data
+    loaded.save(path)
+    assert path.read_text() == f"{MemoStore.VERSION}\n1,4|1|3;2;2;1\t1/1\n"
+    assert naive_vs_corrected(B24, 1, loaded) == naive_vs_corrected(B24, 1, MemoStore())
 
 
 def test_assembled_wdvv(store):
