@@ -120,9 +120,8 @@ class MemoStore:
 
     VERSION = "abelian-gw-cache v1"
 
-    def __init__(self, path=None):
+    def __init__(self):
         self.data: dict[tuple, int] = {}
-        self.path = path
         self.hits = 0
         self.misses = 0
         self.brackets: dict = {}
@@ -181,9 +180,9 @@ class MemoStore:
         ins = tuple([_parse_piece(monomials, m, ".", n) for m in ipart.split(";")]) if ipart else ()
         return (k, n, d, ins)
 
-    def save(self, path=None):
-        """Write the store to path (default self.path): the header, then one
-        line per entry, sorted by key text.
+    def save(self, path):
+        """Write the store to path: the header, then one line per entry,
+        sorted by key text.
 
         A store that added no key since it loaded or saved this file leaves
         the file untouched.  Otherwise, when the file changed since the
@@ -192,9 +191,6 @@ class MemoStore:
         locks the file: a writer that saves between that read and the
         rename below is still lost.
         """
-        path = path or self.path
-        if path is None:
-            raise ValueError("no cache path configured")
         target = os.path.abspath(path)
         try:
             stamp = _file_stamp(os.stat(path))
@@ -229,8 +225,8 @@ class MemoStore:
             raise
         self._synced = (target, stamp)
 
-    def load(self, path=None):
-        """Read the entries of the cache file at path (default self.path).
+    def load(self, path):
+        """Read the entries of the cache file at path.
 
         An entry that _closed_form settles (files written before the
         Kunneth filter hold them) is checked against it and dropped, one
@@ -244,7 +240,6 @@ class MemoStore:
         non-integral value, and on an entry that contradicts the product
         formula, another entry or this store; the store is then unchanged.
         """
-        path = path or self.path
         try:
             with open(path) as fh:
                 stamp = _file_stamp(os.fstat(fh.fileno()))
@@ -661,14 +656,16 @@ def wdvv_failures(space, identities, value):
             yield quad, back, d, tuple(map(Fraction, sides))
 
 
-def two_point(space: ProductSpace, a: Mono, b: Mono, d: tuple, store: MemoStore) -> Fraction:
-    """<a, b>_{0,2,d} for d != 0, via one inserted divisor and the divisor axiom."""
+def two_point(space: ProductSpace, a: Mono, b: Mono, d: tuple) -> Fraction:
+    """<a, b>_{0,2,d} for d != 0, via one inserted divisor H_i, d_i > 0, and
+    the divisor axiom: <H_i, a, b>_d / d_i, with the 3-mark value _closed_form's."""
     d = tuple(d)
     if not any(d):
         raise ValueError("2-point invariants are classical at degree 0; not defined here")
+    if min(d) < 0:
+        return Fraction(0)
     i = next(j for j, x in enumerate(d) if x > 0)
-    ins = tuple(sorted((_unit_vec(space.k, i), tuple(a), tuple(b)), reverse=True))
-    return Fraction(_gw(space, ins, d, store, "default"), d[i])
+    return Fraction(_closed_form(space.n, (_unit_vec(space.k, i), tuple(a), tuple(b)), d), d[i])
 
 
 def gw_of_classes(space: ProductSpace, classes, d: tuple, store: MemoStore):
@@ -711,7 +708,8 @@ def gw_of_classes(space: ProductSpace, classes, d: tuple, store: MemoStore):
     sub = ProductSpace(len(pos), n)
     d_pos = tuple(d[i] for i in pos)
     needed = virtual_dim(sub, d_pos, len(classes))
-    z_top = (n - 1) * len(zero)
+    z_target = (n - 1,) * len(zero)
+    z_top = sum(z_target)
     parts = []
     for cls in classes:
         groups = {}
@@ -727,16 +725,18 @@ def gw_of_classes(space: ProductSpace, classes, d: tuple, store: MemoStore):
         monos = tuple(sorted([p for (p, _), _ in combo], reverse=True))
         value = _gw(sub, monos, d_pos, store, "default")
         if value:
-            total += value * _top_coefficient([z for _, z in combo], n)
+            total += value * _coefficient([z for _, z in combo], z_target)
     return total
 
 
-def _top_coefficient(polys, n: int):
-    """The coefficient of prod_i H_i^(n-1) in the product of polys, each
-    {exponent vector: coefficient} on the same factors, none or more."""
-    *first, last = polys
-    prod = functools.reduce(sparse.mul, first)
-    return sum([c * prod.get(tuple([n - 1 - x for x in e]), 0) for e, c in last.items()])
+def _coefficient(polys, target):
+    """The coefficient of the monomial target in the product of two or more
+    polys {exponent vector: coefficient}: all but the largest multiplied
+    out, then dotted with it.  Exponents only grow, so H_i^n = 0 would
+    truncate no term that meets target, and the product is taken without it."""
+    *rest, largest = sorted(polys, key=len)
+    prod = functools.reduce(sparse.mul, rest)
+    return sum([c * prod.get(tuple(map(operator.sub, target, e)), 0) for e, c in largest.items()])
 
 
 def _product_bracket(space: ProductSpace, classes, d: tuple):
@@ -751,9 +751,7 @@ def _product_bracket(space: ProductSpace, classes, d: tuple):
     if two:
         i = next(j for j, x in enumerate(d) if x > 0)
         target[i] -= 1
-    *first, last = sorted(classes, key=lambda cls: len(cls.terms))
-    prod = first[0].terms if two else sparse.mul(first[0].terms, first[1].terms)
-    total = sum(c * prod.get(tuple(map(operator.sub, target, e)), 0) for e, c in last.terms.items())
+    total = _coefficient([cls.terms for cls in classes], target)
     # the H_i exponent n - 2 + n d_i of the target is at most 2(n - 1) only
     # at d_i = 1, so a nonzero two-mark value is divided by 1
     return Fraction(total, d[i]) if two else total

@@ -121,10 +121,8 @@ def _suite_martin(cfg: RunConfig, store: MemoStore):
 
 
 def _suite_two_point(cfg: RunConfig, store: MemoStore):
-    box = cfg.box()
-    violations = check_two_point(box, cfg.max_degree, store)
-    npairs = box.rank
-    return npairs * (npairs + 1) // 2 * cfg.max_degree, violations
+    violations = check_two_point(cfg.box(), cfg.max_degree, store)
+    return violations.instances, violations
 
 
 def _suite_three_point(cfg: RunConfig, store: MemoStore):
@@ -185,10 +183,8 @@ def _suite_omega_trivial(cfg: RunConfig, store: MemoStore):
 
 def _suite_mirror_small(cfg: RunConfig, store: MemoStore):
     mm = mirror_map(cfg.box(), cfg.max_degree, store)
-    violations = [
-        {"lam": lam, "series": series} for lam, series in mm.forward.items() if series
-    ]
-    return len(mm.forward) * cfg.max_degree, violations
+    violations = [{"lam": lam, "series": series} for lam, series in mm.items() if series]
+    return len(mm) * cfg.max_degree, violations
 
 
 def _suite_j_i(cfg: RunConfig, store: MemoStore):
@@ -241,7 +237,7 @@ def _resolve_cache(args) -> str:
 
 def _open_store(args) -> MemoStore:
     path = _resolve_cache(args)
-    store = MemoStore(path)
+    store = MemoStore()
     if path and os.path.exists(path):
         store.load(path)
     return store

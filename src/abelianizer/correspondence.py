@@ -290,10 +290,12 @@ def formula_to_json(tree: FormulaTree) -> str:
 
 def check_two_point(box: BoxSpec, d_max: int, store: MemoStore) -> list[dict]:
     """Compare Grassmannian 2-point invariants with the lifted bracket of the
-    two omega-twisted insertions, all box pairs, 1 <= d <= d_max."""
-    violations = []
+    two omega-twisted insertions, all box pairs, 1 <= d <= d_max.  Returns
+    the violations, as Violations counting the (pair, d) compared."""
+    violations = Violations()
     for lam, mu in itertools.combinations_with_replacement(box.basis, 2):
         for d in range(1, d_max + 1):
+            violations.instances += 1
             # dimension-violating pairs must come out 0 = 0; checked too
             gr = grassmannian.two_point(lam, mu, d, box)
             ab = i_bracket([LiftedTimesOmega(lam), LiftedTimesOmega(mu)], d, box, store)
@@ -391,23 +393,10 @@ def check_omega_triviality(box: BoxSpec) -> list[dict]:
 # ---------------------------------------------------------------------------
 # mirror map
 
-@dataclass
-class MirrorMapSeries:
-    """Coordinate change between lifted flat coordinates and the flat
-    coordinates of the induced structure, restricted to the divisor locus.
-
-    forward[lam][d] is the q^d correction to the coordinate of lam, with
-    q the Novikov variable dressed by the divisor exponential.
-    """
-
-    forward: dict
-
-    def is_identity(self) -> bool:
-        return all(not s for s in self.forward.values())
-
-
-def mirror_map(box: BoxSpec, trunc: int, store: MemoStore) -> MirrorMapSeries:
-    """Divisor-locus mirror transform from 2-point omega corrections.
+def mirror_map(box: BoxSpec, trunc: int, store: MemoStore) -> dict:
+    """Divisor-locus mirror transform from 2-point omega corrections, as
+    {lam: {d: the nonzero q^d correction to the coordinate of sigma_lam}} over
+    the basis, with q the Novikov variable dressed by the divisor exponential.
 
     The correction to the coordinate of sigma_lam at degree d is the bracket
     I_{2,d}(lift(lam^vee) omega, omega), computed for d = 1..trunc as the
@@ -424,7 +413,7 @@ def mirror_map(box: BoxSpec, trunc: int, store: MemoStore) -> MirrorMapSeries:
             if c:
                 series[d] = c
         forward[lam] = series
-    return MirrorMapSeries(forward)
+    return forward
 
 
 # ---------------------------------------------------------------------------
@@ -445,13 +434,7 @@ class AssembledInvariants:
         self.box = box
         self.store = store
         self.corrupt_epsilon = corrupt_epsilon
-        self.trees: dict[int, FormulaTree] = {}
         self.cache: dict = {}
-
-    def tree(self, l: int) -> FormulaTree:
-        if l not in self.trees:
-            self.trees[l] = generate_formula(l)
-        return self.trees[l]
 
     def value(self, partitions, d: int) -> int:
         """The invariant <partitions>_d, as an int: a Grassmannian invariant
@@ -468,7 +451,8 @@ class AssembledInvariants:
             # degree-0 invariants with 4 or more marks vanish
             val = 0
         else:
-            exact = evaluate_formula(self.tree(m), parts, d, self.box, self.store)
+            # a tree costs far less than its evaluation, so none is kept
+            exact = evaluate_formula(generate_formula(m), parts, d, self.box, self.store)
             if exact.denominator != 1:
                 raise ArithmeticError(f"non-integral invariant {exact} for {parts} at d={d}")
             val = exact.numerator
@@ -489,11 +473,17 @@ def assemble_and_check_wdvv(box: BoxSpec, d_max: int, l_max: int, store: MemoSto
     wdvv_identities), so no l_max-point invariant is tested here.
     """
     inv = AssembledInvariants(box, store, corrupt_epsilon)
-    drawn = itertools.count()
-    identities = (identity for identity, _ in zip(wdvv_identities(box, d_max, l_max), drawn))
+    drawn = 0
+
+    def identities():
+        nonlocal drawn
+        for identity in wdvv_identities(box, d_max, l_max):
+            drawn += 1
+            yield identity
+
     found = Violations(
         {"quad": quad, "background": back, "d": d, "values": sides}
-        for quad, back, d, sides in wdvv_failures(box, identities, inv.value)
+        for quad, back, d, sides in wdvv_failures(box, identities(), inv.value)
     )
-    found.instances = next(drawn)
+    found.instances = drawn
     return found

@@ -238,7 +238,6 @@ class ZSeries:
     """
 
     coefficients: dict
-    q_trunc: int
 
     def coefficient(self, q_power: int, z_power: int) -> dict:
         return self.coefficients.get((q_power, z_power), {})
@@ -268,4 +267,4 @@ def j_function(box: BoxSpec, q_trunc: int) -> ZSeries:
         for d in range(q_trunc + 1)
         for zp, rows in fund.column(d, unit_col).items()
     }
-    return ZSeries(coeffs, q_trunc)
+    return ZSeries(coeffs)

@@ -165,7 +165,6 @@ class CSolveResult:
     implicit); residual lists exact violations and must be empty.
     """
 
-    box: BoxSpec
     d_max: int
     c_series: dict
     residual: list
@@ -228,4 +227,4 @@ def solve_c_coefficients(iseries: ISeries) -> CSolveResult:
             else:
                 c_series[lam][(d, target_zp)] = val
     c_series = {lam: s for lam, s in c_series.items() if s}
-    return CSolveResult(box, d_max, c_series, residual)
+    return CSolveResult(d_max, c_series, residual)

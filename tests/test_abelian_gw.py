@@ -279,13 +279,14 @@ def test_fewer_than_three_marks(store):
     assert gw_invariant(PP, [pt, (0, 0)], (1, 0), store) == 0
 
 
-def test_two_point(store):
+def test_two_point():
     # lines on P2 through two points; the (1,0)-ruling of P1xP1 through a point
-    assert two_point(P2, (2,), (2,), (1,), store) == 1
-    assert two_point(PP, (1, 1), (1, 0), (1, 0), store) == 1
-    assert two_point(PP, (1, 1), (1, 1), (1, 1), store) == 0  # dimension filter
+    assert two_point(P2, (2,), (2,), (1,)) == 1
+    assert two_point(PP, (1, 1), (1, 0), (1, 0)) == 1
+    assert two_point(PP, (1, 1), (1, 1), (1, 1)) == 0  # dimension filter
+    assert two_point(PP, (1, 1), (1, 0), (0, -1)) == 0  # negative multidegree
     with pytest.raises(ValueError):
-        two_point(PP, (1, 1), (1, 1), (0, 0), store)
+        two_point(PP, (1, 1), (1, 1), (0, 0))
 
 
 def test_gw_of_classes_bilinear(store):
@@ -314,7 +315,7 @@ def reference_gw_of_classes(space, classes, d, store):
         if len(classes) == 2:
             if not any(d):
                 continue  # unstable; degree-0 two-point never contributes here
-            total += coeff * two_point(space, monos[0], monos[1], d, store)
+            total += coeff * two_point(space, monos[0], monos[1], d)
         else:
             total += coeff * _gw(space, tuple(sorted(monos, reverse=True)), d, store, "default")
     return total
@@ -1013,11 +1014,51 @@ def test_wdvv_skip_is_exact(monkeypatch):
     assert (len(identities), len(kept)) == (9089, 795)
     skipped = [idt for idt in identities if idt not in kept]
     value = _product_value(space)
-    for (a, b, c, e), back, d in skipped:
-        subs, splits, halves = sub_multisets(back), space.splittings(d), {}
-        sides = [wdvv_contraction(space, u, v, x, y, subs, splits, value, halves)
-                 for u, v, x, y in ((a, b, c, e), (a, c, b, e), (a, e, b, c))]
-        assert sides == [0, 0, 0], ((a, b, c, e), back, d)
+    for quad, back, d in skipped:
+        assert _sides(space, quad, back, d, value) == [0, 0, 0], (quad, back, d)
+
+
+def _sides(space, quad, back, d, value):
+    # the three contractions E(a,b|c,e), E(a,c|b,e), E(a,e|b,c) of an identity
+    a, b, c, e = quad
+    subs, splits, halves = sub_multisets(back), space.splittings(d), {}
+    return [wdvv_contraction(space, u, v, x, y, subs, splits, value, halves)
+            for u, v, x, y in ((a, b, c, e), (a, c, b, e), (a, e, b, c))]
+
+
+@pytest.mark.parametrize("space, d_max, n_marks_max, counts", [
+    (ProductSpace(2, 4), 1, 5, (768, 27)),
+    (ProductSpace(2, 3), 2, 6, (506, 9)),
+], ids=["(P3)^2", "(P2)^2"])
+def test_identity_with_degree_zero_factor_equals_its_projection(space, d_max, n_marks_max, counts):
+    # on a factor with d_i = 0 a kept identity's columns add up to n - 1, so
+    # mu is fixed there, and each side equals the same side of the identity
+    # projected onto the factors P with d_i > 0, on (P^{n-1})^|P|; at d = 0
+    # (no P) each side is int abce = 1
+    store = MemoStore()
+
+    def value_on(sp):
+        return lambda marks, e: _gw(sp, tuple(sorted(marks, reverse=True)), e, store, "default")
+
+    projected = at_zero = 0
+    for quad, back, d in wdvv_identities(space, d_max, n_marks_max):
+        if 0 not in d or not _product_formula_allows(space, quad + back, d, len(back)):
+            continue
+        sides = _sides(space, quad, back, d, value_on(space))
+        pos = [i for i, x in enumerate(d) if x]
+        if not pos:
+            assert sides == [1, 1, 1], (quad, back)
+            at_zero += 1
+            continue
+        sub = ProductSpace(len(pos), space.n)
+
+        def project(marks):
+            return tuple(tuple(m[i] for i in pos) for m in marks)
+
+        want = _sides(sub, project(quad), project(back), tuple(d[i] for i in pos), value_on(sub))
+        assert sides == want, (quad, back, d)
+        projected += 1
+    assert (projected, at_zero) == counts
 
 
 def reference_wdvv_identities(space, d_max, n_marks_max):

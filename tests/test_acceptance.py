@@ -182,9 +182,9 @@ def test_criterion_09_omega_triviality(store):
 def test_criterion_10_mirror_map_small_locus(store):
     t0 = time.time()
     mm = mirror_map(BoxSpec(2, 4), 3, store)
-    ok = _report(10, mm.is_identity(),
+    ok = _report(10, not any(mm.values()),
                  "mirror-map corrections vanish at the small locus, Gr(2,4), degree <= 3", t0)
-    assert ok, mm.forward
+    assert ok, mm
 
 
 def test_criterion_11_j_i_correspondence(store):

@@ -246,6 +246,9 @@ def test_verify_all_malformed_cache(tmp_path):
     # omega-trivial: rank + 2^C(k,2) products
     ("omega-trivial", 2, 4, 2, 5, 8),
     ("omega-trivial", 3, 6, 2, 5, 28),
+    # two-point: each pair of basis classes at each degree 1..max_degree
+    ("two-point", 2, 4, 2, 5, 42),
+    ("two-point", 3, 5, 2, 5, 110),
 ])
 def test_wdvv_instance_counts(suite, k, n, max_degree, max_insertions, instances, store):
     # instances_per_s in the benchmark divides by these counts
