@@ -383,9 +383,17 @@ def gw_invariant(space: ProductSpace, insertions, d, store: MemoStore, policy: s
     integral (the metric is a permutation on the monomial basis, so no
     denominators can survive); the result is handed out as a Fraction, like
     every rational value of the package.
+
+    d and every mark must have space.k entries, and no exponent may be
+    negative; otherwise ValueError, before the store is read or written.
+    An exponent >= n is allowed and gives 0, since H^n = 0.
     """
+    d = tuple(d)
     monos = sorted((tuple(int(x) for x in ins) for ins in insertions), reverse=True)
-    return Fraction(_gw(space, tuple(monos), tuple(d), store, policy))
+    if len(d) != space.k or any(len(e) != space.k or min(e) < 0 for e in monos):
+        raise ValueError(f"need a multidegree of {space.k} entries and marks of {space.k} "
+                         f"nonnegative entries, got d={d}, marks={monos}")
+    return Fraction(_gw(space, tuple(monos), d, store, policy))
 
 
 def _gw(space, ins, d, store, policy) -> int:

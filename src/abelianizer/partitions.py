@@ -21,8 +21,6 @@ from functools import cached_property
 from math import comb
 from types import MappingProxyType
 
-from .sparse import add, mul
-
 # Per-hook sign rule for quantum reduction.  "k_minus_height" is the
 # production rule; it is the unique choice out of the two classical
 # candidates for which all 3-point Grassmannian structure constants come
@@ -185,35 +183,35 @@ def complement(lam: Partition, box: BoxSpec) -> Partition:
     return Partition(box.cols - padded[box.k - 1 - i] for i in range(box.k))
 
 
-def complete_homogeneous(m: int, k: int) -> dict[tuple[int, ...], int]:
-    """h_m in k variables: every degree-m monomial, coefficient 1."""
-    if m < 0:
-        return {}
-    return {e: 1 for e in lifts(m, k)}
-
-
 @functools.cache
 def schur_polynomial(lam: Partition, k: int) -> MappingProxyType:
     """The Schur polynomial S_lam(H_1, ..., H_k) as {exponent vector: coeff}.
 
-    Computed from the Jacobi-Trudi determinant det(h_{lam_i - i + j}) in
-    complete homogeneous symmetric polynomials.  Every lift and every
-    Littlewood-Richardson expansion reads these, so each (lam, k) is
-    computed once and shared; the mapping is read-only, so a caller that
-    tries to change a shared value gets a TypeError.
+    Computed by the branching rule
+        S_lam(x_1, ..., x_k) = sum_mu x_k^(|lam| - |mu|) S_mu(x_1, ..., x_{k-1}),
+    summed over the mu with k - 1 parts that interlace lam
+    (lam_{i+1} <= mu_i <= lam_i), from S_lam(x_1) = x_1^|lam|.  Every
+    coefficient is a Kostka number, a count of tableaux, so nothing
+    cancels.  Every lift and every Littlewood-Richardson expansion reads
+    these, so each (lam, k) is computed once and shared, and the memo also
+    holds the (mu, j < k) entries of the recursion; the mapping is
+    read-only, so a caller that tries to change a shared value gets a
+    TypeError.
     """
     if len(lam) > k:
         raise ValueError(f"{lam} has more than {k} parts")
-    ell = len(lam)
-    if ell == 0:
+    if not lam:
         return MappingProxyType({(0,) * k: 1})
-    out = {}
-    for perm in itertools.permutations(range(ell)):
-        sign = _perm_sign(perm)
-        prod = {(0,) * k: 1}
-        for i in range(ell):
-            prod = mul(prod, complete_homogeneous(lam[i] - i + perm[i], k))
-        out = add(out, prod, sign)
+    if k == 1:
+        return MappingProxyType({(lam[0],): 1})
+    padded = lam.padded(k)
+    weight = lam.weight
+    out: dict[tuple[int, ...], int] = {}
+    for mu in itertools.product(*(range(padded[i + 1], padded[i] + 1) for i in range(k - 1))):
+        tail = (weight - sum(mu),)
+        for e, c in schur_polynomial(Partition(mu), k - 1).items():
+            e += tail
+            out[e] = out.get(e, 0) + c
     return MappingProxyType(out)
 
 

@@ -151,6 +151,25 @@ def test_gw_effectivity(store):
     assert gw_invariant(PP, [(1, 1)] * 3, (-1, 2), store) == 0
 
 
+@pytest.mark.parametrize("marks, d", [
+    ([(3,), (3,), (1,), (1,)], (1, 1)),    # marks of one entry on a product of two
+    ([(1, 1)] * 4, (1, 1, 0)),              # a multidegree of three entries
+    ([(1, 1), (1, 1), (2, -1), (1, 1)], (1, 1)),  # a negative exponent
+])
+def test_gw_invariant_rejects_malformed_input_before_the_store(marks, d):
+    # a malformed key in the store would be saved as a line that the next
+    # load rejects, and with it the whole cache file
+    store = MemoStore()
+    with pytest.raises(ValueError, match="of 2 entries and marks of 2 nonnegative entries"):
+        gw_invariant(ProductSpace(2, 4), marks, d, store)
+    assert len(store) == 0 and store.stats()["misses"] == 0
+
+
+def test_gw_invariant_exponent_past_the_top_gives_zero(store):
+    # H^n = 0 on P^{n-1}, so an exponent >= n is a zero class, not an error
+    assert gw_invariant(ProductSpace(2, 4), [(4, 0), (1, 1), (1, 1), (1, 1)], (1, 1), store) == 0
+
+
 KONTSEVICH_N = {
     2: 1,
     3: 12,

@@ -91,8 +91,8 @@ def test_lift_and_bialternant_are_built_once_and_read_only():
     assert bialternant(P(1), box).terms == {(2, 0): 1, (0, 2): -1}
 
 
-@pytest.mark.parametrize("box", [BoxSpec(2, 4), BoxSpec(2, 5), BoxSpec(3, 6)],
-                         ids=["Gr(2,4)", "Gr(2,5)", "Gr(3,6)"])
+@pytest.mark.parametrize("box", [BoxSpec(2, 4), BoxSpec(2, 5), BoxSpec(3, 6), BoxSpec(4, 8)],
+                         ids=["Gr(2,4)", "Gr(2,5)", "Gr(3,6)", "Gr(4,8)"])
 def test_bialternant_is_lift_times_delta(box):
     space = space_of(box)
     staircase = tuple(range(box.k - 1, -1, -1))

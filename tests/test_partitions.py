@@ -1,5 +1,7 @@
+import itertools
 import random
-from math import comb
+from fractions import Fraction
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +19,7 @@ from abelianizer.partitions import (
     schur_polynomial,
     text_form,
 )
+from abelianizer.sparse import add, mul
 
 
 def P(*parts):
@@ -96,6 +99,43 @@ def test_schur_polynomial_is_read_only():
         s21[(3, 0, 0)] = 1
     assert schur_polynomial(P(2, 1), 3) == s21
     assert schur_polynomial(P(2, 1), 2) == {(2, 1): 1, (1, 2): 1}
+
+
+def _jacobi_trudi(lam, k):
+    """S_lam in k variables as the determinant det(h_{lam_i - i + j}) in the
+    complete homogeneous h_m (every degree-m monomial, coefficient 1),
+    expanded over the permutations: the reference for schur_polynomial."""
+    out = {}
+    for perm in itertools.permutations(range(len(lam))):
+        sign = 1
+        for i, j in itertools.combinations(range(len(perm)), 2):
+            if perm[i] > perm[j]:
+                sign = -sign
+        term = {(0,) * k: 1}
+        for i, j in enumerate(perm):
+            term = mul(term, {e: 1 for e in lifts(lam[i] - i + j, k)})
+        out = add(out, term, sign)
+    return out
+
+
+def test_schur_matches_jacobi_trudi():
+    # every lam with l(lam) <= k <= 4 and |lam| <= 8
+    for k in range(1, 5):
+        for parts in _partitions_of_weight_at_most(8, k):
+            lam = Partition(parts)
+            assert schur_polynomial(lam, k) == _jacobi_trudi(lam, k), (lam, k)
+
+
+def test_schur_hook_content_formula():
+    # S_lam(1, ..., 1) = prod over the cells of (k + content) / hook length,
+    # for k <= 6 and |lam| <= 12
+    for k in range(1, 7):
+        for parts in _partitions_of_weight_at_most(12, k):
+            lam = Partition(parts)
+            conj = [sum(1 for p in lam if p > j) for j in range(lam[0])] if lam else []
+            cells = [(i, j) for i, row in enumerate(lam) for j in range(row)]
+            want = prod(Fraction(k + j - i, (lam[i] - j) + (conj[j] - i) - 1) for i, j in cells)
+            assert sum(schur_polynomial(lam, k).values()) == want, (lam, k)
 
 
 def _partitions_of_weight_at_most(w_max, rows):
