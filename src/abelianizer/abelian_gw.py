@@ -16,9 +16,11 @@ prod_i H_i^(n-1+n d_i) in the product A B C, and with the divisor axiom a
 term by term.  With four or more marks a factor with d_i = 0 contributes
 only its classical integral (Behrend, alg-geom/9710014), which is 1 for
 monomial marks that kunneth_allows passes; so _gw reads such a key on the
-factors P with d_i > 0, a key of (P^{n-1})^|P|, and gw_of_classes splits
-whole classes the same way.  The store so holds keys with every d_i > 0
-and k' = |P| <= k factors; at d <= 1 they are keys of P^{n-1}, shared by
+factors P with d_i > 0, a key of (P^{n-1})^|P|.  gw_of_classes multiplies
+its classes out once into P-parts and summed Z-exponents (Z the factors
+with d_i = 0) and reads one such key per multiset of P-parts whose
+Z-exponents end at n - 1.  The store so holds keys with every d_i > 0 and
+k' = |P| <= k factors; at d <= 1 they are keys of P^{n-1}, shared by
 every k.
 Invariants with four or more insertions are reconstructed through the
 divisor relation and the associativity (WDVV) constraints of the big
@@ -88,7 +90,7 @@ from collections import Counter
 from fractions import Fraction
 
 from . import sparse
-from .cohomology import PClass, ProductSpace, cup, integrate
+from .cohomology import PClass, ProductSpace, cup, integrate, monomial
 
 Mono = tuple  # exponent vector of a basis monomial
 
@@ -386,13 +388,16 @@ def gw_invariant(space: ProductSpace, insertions, d, store: MemoStore, policy: s
 
     d and every mark must have space.k entries, and no exponent may be
     negative; otherwise ValueError, before the store is read or written.
-    An exponent >= n is allowed and gives 0, since H^n = 0.
+    An exponent >= n is allowed and gives 0, since H^n = 0, also before the
+    store.
     """
     d = tuple(d)
     monos = sorted((tuple(int(x) for x in ins) for ins in insertions), reverse=True)
     if len(d) != space.k or any(len(e) != space.k or min(e) < 0 for e in monos):
         raise ValueError(f"need a multidegree of {space.k} entries and marks of {space.k} "
                          f"nonnegative entries, got d={d}, marks={monos}")
+    if any(max(e) >= space.n for e in monos):
+        return Fraction(0)
     return Fraction(_gw(space, tuple(monos), d, store, policy))
 
 
@@ -665,15 +670,14 @@ def wdvv_failures(space, identities, value):
 
 
 def two_point(space: ProductSpace, a: Mono, b: Mono, d: tuple) -> Fraction:
-    """<a, b>_{0,2,d} for d != 0, via one inserted divisor H_i, d_i > 0, and
-    the divisor axiom: <H_i, a, b>_d / d_i, with the 3-mark value _closed_form's."""
+    """<a, b>_{0,2,d} for d != 0: the 2-mark bracket of the monomials a and
+    b by the divisor axiom (_product_bracket).  a and b must be exponent
+    vectors of space.k nonnegative entries (else ValueError); one >= n is
+    the zero class."""
     d = tuple(d)
     if not any(d):
         raise ValueError("2-point invariants are classical at degree 0; not defined here")
-    if min(d) < 0:
-        return Fraction(0)
-    i = next(j for j, x in enumerate(d) if x > 0)
-    return Fraction(_closed_form(space.n, (_unit_vec(space.k, i), tuple(a), tuple(b)), d), d[i])
+    return Fraction(_product_bracket(space, [monomial(space, a), monomial(space, b)], d))
 
 
 def gw_of_classes(space: ProductSpace, classes, d: tuple, store: MemoStore):
@@ -684,8 +688,7 @@ def gw_of_classes(space: ProductSpace, classes, d: tuple, store: MemoStore):
     by the product formula <A, B, C>_d is the coefficient of
     prod_i H_i^(n-1+n d_i) in the product A B C taken without H_i^n = 0, and
     by the divisor axiom <A, B>_d (d != 0) is the coefficient of that
-    monomial over H_i in A B, divided by d_i, for the H_i that two_point
-    inserts.
+    monomial over H_i in A B, divided by d_i, for the first i with d_i > 0.
 
     Other arities split off the factors of degree 0.  By the product formula
     a factor i with d_i = 0 contributes only its classical integral: with P
@@ -693,17 +696,16 @@ def gw_of_classes(space: ProductSpace, classes, d: tuple, store: MemoStore):
 
         <p_1 z_1, ..., p_m z_m>_d = <p_1, ..., p_m>_{d_P} * int_Z z_1 ... z_m
 
-    with the first bracket on (P^{n-1})^|P|.  _gw splits one monomial so;
-    splitting whole classes keeps the combinations few.  Each class is
-    grouped by its P-exponents (and the degree of its Z-part); every choice
-    of one group per class that passes the dimension rule on both sides
-    reads its P-invariant from the store, with |P| factors, and, where that
-    is nonzero, multiplies it by the coefficient of prod_Z H^(n-1) in the
-    product of the chosen Z-parts.  At d = 0 (no P) the value is 0: degree-0
-    invariants with four or more marks vanish, and fewer than two marks are
-    unstable there.  With every d_i > 0 there is no Z, and this is the loop
-    over one term per class.  Fewer than two marks give 0 or _gw's
-    ValueError.
+    with the first bracket on (P^{n-1})^|P|.  The classes are multiplied
+    out in order into {(sorted P-parts chosen so far, summed Z-exponents):
+    coefficient}, so equal choices merge and choices that cancel drop out;
+    an entry with a Z-exponent >= n is dropped (H^n = 0, and exponents only
+    grow).  Each entry whose Z-exponents all end at n - 1 reads its
+    P-invariant once from the store, with |P| factors; _gw answers an entry
+    off the dimension rule 0 before the store.  At d = 0 (no P) the value
+    is 0: degree-0 invariants with four or more marks vanish, and fewer
+    than two marks are unstable there.  Fewer than two marks give 0 or
+    _gw's ValueError.
     """
     d = tuple(d)
     if len(classes) in (2, 3):
@@ -715,26 +717,18 @@ def gw_of_classes(space: ProductSpace, classes, d: tuple, store: MemoStore):
     zero = [i for i, x in enumerate(d) if not x]
     sub = ProductSpace(len(pos), n)
     d_pos = tuple(d[i] for i in pos)
-    needed = virtual_dim(sub, d_pos, len(classes))
-    z_target = (n - 1,) * len(zero)
-    z_top = sum(z_target)
-    parts = []
+    top = (n - 1,) * len(zero)
+    acc = {((), (0,) * len(zero)): 1}
     for cls in classes:
-        groups = {}
-        for e, c in cls.terms.items():
-            z = tuple([e[i] for i in zero])
-            groups.setdefault((tuple([e[i] for i in pos]), sum(z)), {})[z] = c
-        parts.append(list(groups.items()))
-    total = 0
-    for combo in itertools.product(*parts):
-        if (sum([sum(p) for (p, _), _ in combo]) != needed
-                or sum([z for (_, z), _ in combo]) != z_top):
-            continue
-        monos = tuple(sorted([p for (p, _), _ in combo], reverse=True))
-        value = _gw(sub, monos, d_pos, store, "default")
-        if value:
-            total += value * _coefficient([z for _, z in combo], z_target)
-    return total
+        terms = [(tuple([e[i] for i in pos]), tuple([e[i] for i in zero]), c) for e, c in cls.terms.items()]
+        out = {}
+        for (ps, zs), a in acc.items():
+            for p, dz, c in terms:
+                z = tuple(map(operator.add, zs, dz))
+                if max(z, default=0) < n:
+                    sparse.add_term(out, (tuple(sorted((*ps, p), reverse=True)), z), a * c)
+        acc = out
+    return sum([a * _gw(sub, ps, d_pos, store, "default") for (ps, z), a in acc.items() if z == top])
 
 
 def _coefficient(polys, target):

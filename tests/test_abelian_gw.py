@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import math
@@ -170,6 +171,19 @@ def test_gw_invariant_exponent_past_the_top_gives_zero(store):
     assert gw_invariant(ProductSpace(2, 4), [(4, 0), (1, 1), (1, 1), (1, 1)], (1, 1), store) == 0
 
 
+@pytest.mark.parametrize("marks", [
+    [(4,), (0,), (1,)],
+    [(3,), (0,), (2,)],
+    [(3,), (1,), (1,), (1,)],  # once stored as 1,3|1|3;1;1;1, a line load rejects
+])
+def test_gw_invariant_exponent_past_the_top_reads_no_store(marks):
+    # the product formula reads only the column sums, which these marks
+    # meet on P^2 at d = 1; H^3 = 0 makes each 0 before the store
+    store = MemoStore()
+    assert gw_invariant(P2, marks, (1,), store) == 0
+    assert len(store) == 0 and store.stats()["misses"] == 0
+
+
 KONTSEVICH_N = {
     2: 1,
     3: 12,
@@ -306,6 +320,13 @@ def test_two_point():
     assert two_point(PP, (1, 1), (1, 0), (0, -1)) == 0  # negative multidegree
     with pytest.raises(ValueError):
         two_point(PP, (1, 1), (1, 1), (0, 0))
+    # a negative exponent and a mark of the wrong length are errors; an
+    # exponent >= n is the zero class (H^3 = 0 on P^2)
+    with pytest.raises(ValueError):
+        two_point(P2, (5,), (-1,), (1,))
+    assert two_point(P2, (4,), (0,), (1,)) == 0
+    with pytest.raises(ValueError):
+        two_point(P2, (1,), (1, 2), (1,))
 
 
 def test_gw_of_classes_bilinear(store):
@@ -435,6 +456,39 @@ def test_gw_of_classes_fraction_coefficients(data):
     cls = st.dictionaries(term, coeff, max_size=4).map(lambda t: PClass(space, t))
     classes = data.draw(st.lists(cls, min_size=2, max_size=3))
     d = data.draw(st.tuples(*[st.integers(0, 2)] * k))
+    want = reference_gw_of_classes(space, classes, d, MemoStore())
+    assert gw_of_classes(space, classes, d, MemoStore()) == want
+
+
+@functools.cache
+def _open_tuples(k, n, m):
+    # {d: combos}: the admissible m-tuples of monomials of positive
+    # codimension that the product formula leaves open, at each multidegree
+    # d <= 2 that has a zero entry (on P^2, that is positive)
+    found = {}
+    for combo, d in admissible_tuples(ProductSpace(k, n), m, 2):
+        if (any(d) and (k == 1 or 0 in d) and all(map(sum, combo))
+                and abelian_gw.kunneth_allows(n, combo, d, m - 3)):
+            found.setdefault(d, []).append(combo)
+    return found
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_gw_of_classes_four_and_five_marks(data):
+    # 4 and 5 classes, not homogeneous, with Fraction coefficients, in any
+    # order, against the combo loop at multidegrees with a factor of degree
+    # 0.  Each class is one mark of an open monomial invariant plus up to
+    # two random terms, so that many of the brackets are nonzero
+    k, n = data.draw(st.sampled_from([(1, 3), (2, 2), (2, 3), (3, 2)]))
+    space = ProductSpace(k, n)
+    tuples = _open_tuples(k, n, data.draw(st.sampled_from([4, 5])))
+    d = data.draw(st.sampled_from(sorted(tuples)))
+    combo = data.draw(st.sampled_from(tuples[d]))
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=6).filter(bool)
+    term = st.tuples(*[st.integers(0, n - 1)] * k)
+    classes = [PClass(space, {**data.draw(st.dictionaries(term, coeff, max_size=2)), e: data.draw(coeff)})
+               for e in data.draw(st.permutations(combo))]
     want = reference_gw_of_classes(space, classes, d, MemoStore())
     assert gw_of_classes(space, classes, d, MemoStore()) == want
 

@@ -264,7 +264,7 @@ def test_five_point_symmetry_draws_pinned_sample():
     store = MemoStore()
     (report,) = run_suites(RunConfig(k=2, n=4, max_degree=2, suites=("five-point-symmetry",)), store)
     assert report.passed and report.instances == 50
-    assert store.stats() == {"entries": 146, "hits": 335, "misses": 146}
+    assert store.stats() == {"entries": 137, "hits": 237, "misses": 137}
 
 
 def test_cache_roundtrip(tmp_path, capsys):
