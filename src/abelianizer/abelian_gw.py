@@ -59,23 +59,26 @@ E is computed in one place, wdvv_contraction, for the potential of any
 space that supplies dim, c1_degree, dual and basis_of_codim: this module's
 ProductSpace and the Grassmannian's BoxSpec alike.  P is E over the proper
 splittings; the checks on both sides enumerate their identities with
-wdvv_identities and compare the three contractions with wdvv_failures.
-check_wdvv skips an identity of m = 4 + |B| marks that fails the rule
-with m - 4 in place of m - 3, decided once per (column sums of the quad,
-B, d), since the rule reads only column sums.  The skip is exact: in a
-term <u, v, S, mu>_e <mu^dual, x, y, T>_f the factors' ex_i add up to the
+wdvv_identities and compare the three contractions, as wdvv_sides
+evaluates them, with wdvv_failures.  check_wdvv skips an identity of
+m = 4 + |B| marks that fails the rule with m - 4 in place of m - 3,
+decided once per (column sums of the quad, B, d), since the rule reads
+only column sums.  The skip is exact: in a term
+<u, v, S, mu>_e <mu^dual, x, y, T>_f the factors' ex_i add up to the
 identity's (mu, mu^dual add n - 1 on each factor), their bounds |S| and
 |T| add up to m - 4, and e_i = f_i = 0 where d_i = 0, so every term has a
-factor that _gw answers 0 without the store.
+factor that _gw answers 0 without the store.  A kept identity with a
+factor of degree 0, but d != 0, is evaluated as its projection onto the
+factors of positive degree, which has the same sides.
 
 A contraction reads its left factors as half-contractions
 {mu: <u, v, mu, S>_e}, and its right factors <mu^dual, x, y, T>_f from one
 entry per (x, y, T, f) that holds them only at the mu read so far, those
 whose left factor is nonzero.  Both live in a dict that its caller owns:
-wdvv_failures keeps one for the whole check, so every side of every
-identity shares them and each right factor is read once per check, and
-each WDVV step keeps its own.  Neither outlives its caller, so no factor
-read from one store is used against another.
+wdvv_sides keeps one per space for the whole check, so every side of
+every identity on that space shares them and each right factor is read
+once per check, and each WDVV step keeps its own.  Neither outlives its
+caller, so no factor read from one store is used against another.
 """
 
 from __future__ import annotations
@@ -644,29 +647,40 @@ class Violations(list):
     instances = 0
 
 
-def wdvv_failures(space, identities, value):
-    """Yield (quad, back, d, (E(a,b|c,e), E(a,c|b,e), E(a,e|b,c))) for every
-    identity (quad, back, d) of identities, as wdvv_identities yields them,
-    whose three contractions disagree; the sides are handed out as
-    Fractions."""
-    # local to this check: the half-contractions (see wdvv_contraction) that
-    # every identity shares, and the sub-multisets of each background and
-    # the splits of each degree, built once
+def wdvv_sides(space, value):
+    """sides(quad, back, d) -> (E(a,b|c,e), E(a,c|b,e), E(a,e|b,c)) on
+    space, for quad = (a, b, c, e), with the factors read through value.
+
+    The half-contractions (see wdvv_contraction) live as long as sides, so
+    every identity it evaluates shares them; so do the sub-multisets of
+    each background and the splits of each degree, built once."""
     halves, subs_of, splits_of = {}, {}, {}
-    for quad, back, d in identities:
+
+    def sides(quad, back, d):
         a, b, c, e = quad
         if back not in subs_of:
             subs_of[back] = sub_multisets(back)
         if d not in splits_of:
             splits_of[d] = space.splittings(d)
         subs, splits = subs_of[back], splits_of[d]
-        sides = (
+        return (
             wdvv_contraction(space, a, b, c, e, subs, splits, value, halves),
             wdvv_contraction(space, a, c, b, e, subs, splits, value, halves),
             wdvv_contraction(space, a, e, b, c, subs, splits, value, halves),
         )
-        if sides[0] != sides[1] or sides[1] != sides[2]:
-            yield quad, back, d, tuple(map(Fraction, sides))
+
+    return sides
+
+
+def wdvv_failures(identities, sides):
+    """Yield (quad, back, d, sides(quad, back, d)) for every identity
+    (quad, back, d) of identities, as wdvv_identities yields them, whose
+    three sides (see wdvv_sides) disagree; the sides are handed out as
+    Fractions."""
+    for quad, back, d in identities:
+        got = sides(quad, back, d)
+        if got[0] != got[1] or got[1] != got[2]:
+            yield quad, back, d, tuple(map(Fraction, got))
 
 
 def two_point(space: ProductSpace, a: Mono, b: Mono, d: tuple) -> Fraction:
@@ -759,7 +773,7 @@ def _product_bracket(space: ProductSpace, classes, d: tuple):
     return Fraction(total, d[i]) if two else total
 
 
-def check_wdvv(space: ProductSpace, d_total_max: int, n_marks_max: int, store: MemoStore) -> list[dict]:
+def check_wdvv(space: ProductSpace, d_total_max: int, n_marks_max: int, store: MemoStore) -> Violations:
     """Verify associativity constraints for all quadruples of basis monomials
     with backgrounds and degrees within bounds.  Returns the violations, as
     Violations.
@@ -773,10 +787,44 @@ def check_wdvv(space: ProductSpace, d_total_max: int, n_marks_max: int, store: M
     decided once per (column sums of quad, back, d), and only the identities
     kept are drawn; instances still counts every identity of
     wdvv_identities, from the lengths of the (back, d) lists.
+
+    A kept identity with a factor of degree 0, but not d = 0, is evaluated
+    as its projection onto the factors P with d_i > 0: the quad's marks
+    restricted to P in their order, the background restricted to P and
+    sorted, and d restricted to P, on (P^{n-1})^|P|.  That is exact for any
+    store, by the product formula: on a factor with d_i = 0 a kept
+    identity's columns add up to n - 1, so in every term that _gw does not
+    answer 0 without the store, mu is fixed there and both factors' columns
+    add up to n - 1 there too, and _gw reads such a factor under the key of
+    its projection (_positive_part).  So each side equals the same side of
+    the projection.  Many identities share one projection, and its sides
+    are computed once per check.  The other identities are evaluated on
+    space itself.
     """
 
-    def value(marks, d):
-        return _gw(space, tuple(sorted(marks, reverse=True)), d, store, "default")
+    def value_on(sp):
+        return lambda marks, d: _gw(sp, tuple(sorted(marks, reverse=True)), d, store, "default")
+
+    on_space = wdvv_sides(space, value_on(space))
+    # |P| -> wdvv_sides on (P^{n-1})^|P|; projection -> its sides
+    on_factors, projected = {}, {}
+
+    def sides(quad, back, d):
+        if all(d) or not any(d):
+            return on_space(quad, back, d)
+
+        def on_p(m):
+            return tuple(itertools.compress(m, d))
+
+        key = (tuple(map(on_p, quad)), tuple(sorted(map(on_p, back))), on_p(d))
+        got = projected.get(key)
+        if got is None:
+            size = len(key[2])
+            if size not in on_factors:
+                sub = ProductSpace(size, space.n)
+                on_factors[size] = wdvv_sides(sub, value_on(sub))
+            got = projected[key] = on_factors[size](*key)
+        return got
 
     pairs = _pairs_by_codim(space, d_total_max, n_marks_max)
     # column sums of a quad -> (number of its identities, the (back, d) kept)
@@ -798,8 +846,8 @@ def check_wdvv(space: ProductSpace, d_total_max: int, n_marks_max: int, store: M
                 yield quad, back, d
 
     found = Violations(
-        {"quad": quad, "background": back, "degree": d, "values": sides}
-        for quad, back, d, sides in wdvv_failures(space, identities(), value)
+        {"quad": quad, "background": back, "degree": d, "values": got}
+        for quad, back, d, got in wdvv_failures(identities(), sides)
     )
     found.instances = drawn
     return found

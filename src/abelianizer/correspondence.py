@@ -56,6 +56,7 @@ from .abelian_gw import (
     virtual_dim,
     wdvv_failures,
     wdvv_identities,
+    wdvv_sides,
 )
 
 
@@ -483,7 +484,7 @@ def assemble_and_check_wdvv(box: BoxSpec, d_max: int, l_max: int, store: MemoSto
 
     found = Violations(
         {"quad": quad, "background": back, "d": d, "values": sides}
-        for quad, back, d, sides in wdvv_failures(box, identities(), inv.value)
+        for quad, back, d, sides in wdvv_failures(identities(), wdvv_sides(box, inv.value))
     )
     found.instances = drawn
     return found

@@ -1059,33 +1059,70 @@ def test_product_formula_keys_skip_the_store(space, d_max):
     assert store.stats() == {"entries": 0, "hits": 0, "misses": 0}
 
 
+def _projection(quad, back, d):
+    # an identity restricted to the factors P with d_i > 0: the quad's marks
+    # in their order, the background sorted, and d_P
+    def on_p(m):
+        return tuple(x for x, di in zip(m, d) if di)
+
+    return tuple(map(on_p, quad)), tuple(sorted(map(on_p, back))), on_p(d)
+
+
+def _assert_evaluated_as_planned(space, evaluated, kept):
+    # evaluated: (k, quad, back, d) per evaluation, in the order made.  The
+    # kept identities with every d_i > 0 and those at d = 0 are evaluated on
+    # space, in enumeration order; the others through their projections, as
+    # (|P|, quad_P, back_P, d_P), each distinct projection once
+    full = [(space.k, *idt) for idt in kept if all(idt[2]) or not any(idt[2])]
+    projections = {(sum(map(bool, d)), *_projection(quad, back, d))
+                   for quad, back, d in kept if any(d) and not all(d)}
+    assert [ev for ev in evaluated if ev[0] == space.k] == full
+    on_sub = [ev for ev in evaluated if ev[0] != space.k]
+    assert len(on_sub) == len(set(on_sub)), "a projection evaluated twice"
+    assert set(on_sub) == projections
+    return len(full), len(projections)
+
+
 def test_wdvv_skip_is_exact(monkeypatch):
     # check_wdvv skips exactly the identities the product formula makes
-    # 0 = 0 = 0.  On a warm store no WDVV step runs, so every contraction is
-    # one the check evaluates itself; a side (u, v | x, y) is recorded with
-    # its background (the last sub-multiset) and degree (the split (0, d)).
+    # 0 = 0 = 0, evaluates a kept identity with a factor of degree 0 (but
+    # not d = 0) through its projection, each projection once, and every
+    # other kept identity once on the full product, in enumeration order.
+    # On a warm store no WDVV step runs, so every contraction is one the
+    # check evaluates itself; a side (u, v | x, y) is recorded with its
+    # space's k, its background (the last sub-multiset) and its degree (the
+    # split (0, d)).
     space, st = ProductSpace(2, 4), MemoStore()
     assert check_wdvv(space, 1, 5, st) == []
-    evaluated = set()
+    calls = []
     contraction = abelian_gw.wdvv_contraction
 
     def recording(sp, u, v, x, y, subs, splits, value, halves):
-        evaluated.add(((u, v, x, y), subs[-1][0], splits[0][1]))
+        calls.append((sp.k, (u, v, x, y), subs[-1][0], splits[0][1]))
         return contraction(sp, u, v, x, y, subs, splits, value, halves)
 
     with monkeypatch.context() as patch:
         patch.setattr(abelian_gw, "wdvv_contraction", recording)
-        assert check_wdvv(space, 1, 5, st) == []
+        found = check_wdvv(space, 1, 5, st)
+    assert found == [] and found.instances == 9089
     assert st.misses == len(st)
+    # an evaluation is three contractions in a row: the sides (a, b | c, e),
+    # (a, c | b, e) and (a, e | b, c) of one identity, (a, b, c, e) in the
+    # order of its quad
+    assert len(calls) % 3 == 0
+    evaluated = []
+    for first, second, third in zip(*[iter(calls)] * 3):
+        k, (a, b, c, e), back, d = first
+        assert (second, third) == ((k, (a, c, b, e), back, d), (k, (a, e, b, c), back, d))
+        evaluated.append((k, (a, b, c, e), back, d))
     identities = list(wdvv_identities(space, 1, 5))
     # an identity of m marks is kept when the product formula allows its
     # marks with top = m - 4
-    kept = {(quad, back, d) for quad, back, d in identities
-            if _product_formula_allows(space, quad + back, d, len(back))}
-    # the first side of an identity is (a, b | c, e) in the order of quad
-    assert {idt for idt in identities if idt in evaluated} == kept
+    kept = [(quad, back, d) for quad, back, d in identities
+            if _product_formula_allows(space, quad + back, d, len(back))]
     assert (len(identities), len(kept)) == (9089, 795)
-    skipped = [idt for idt in identities if idt not in kept]
+    assert _assert_evaluated_as_planned(space, evaluated, kept) == (27, 104)
+    skipped = set(identities) - set(kept)
     value = _product_value(space)
     for quad, back, d in skipped:
         assert _sides(space, quad, back, d, value) == [0, 0, 0], (quad, back, d)
@@ -1168,26 +1205,92 @@ def test_wdvv_identities_match_reference_loop(space, d_max, n_marks_max):
 
 def test_wdvv_check_pinned_on_p4_squared(monkeypatch):
     # (P^4)^2 at d <= 2, <= 5 marks: the check counts every identity of the
-    # enumeration, evaluates exactly those the product formula keeps, in
-    # enumeration order, and computes each key once
-    space, st, kept = ProductSpace(2, 5), MemoStore(), []
-    failures = abelian_gw.wdvv_failures
+    # enumeration, draws exactly those the product formula keeps, in
+    # enumeration order, evaluates them as _assert_evaluated_as_planned
+    # says, and computes each key once
+    space, st, drawn, evaluated = ProductSpace(2, 5), MemoStore(), [], []
+    failures, make_sides = abelian_gw.wdvv_failures, abelian_gw.wdvv_sides
 
-    def recording(sp, identities, value):
+    def drawing(identities, sides):
         def tee():
             for identity in identities:
-                kept.append(identity)
+                drawn.append(identity)
                 yield identity
-        return failures(sp, tee(), value)
+        return failures(tee(), sides)
 
-    monkeypatch.setattr(abelian_gw, "wdvv_failures", recording)
+    def recording(sp, value):
+        sides = make_sides(sp, value)
+
+        def tee(quad, back, d):
+            evaluated.append((sp.k, quad, back, d))
+            return sides(quad, back, d)
+        return tee
+
+    monkeypatch.setattr(abelian_gw, "wdvv_failures", drawing)
+    monkeypatch.setattr(abelian_gw, "wdvv_sides", recording)
     found = check_wdvv(space, 2, 5, st)
     assert found == [] and found.instances == 177024
     reference = [(quad, back, d) for quad, back, d in reference_wdvv_identities(space, 2, 5)
                  if _product_formula_allows(space, quad + back, d, len(back))]
-    assert len(kept) == 18228
-    assert kept == reference
+    assert len(drawn) == 18228
+    assert drawn == reference
+    assert _assert_evaluated_as_planned(space, evaluated, reference) == (13844, 357)
     assert (len(st), st.misses) == (536, 536)
+
+
+def reference_check_wdvv(space, d_max, n_marks_max, store):
+    # check_wdvv as it was before projections: every identity that
+    # kunneth_allows keeps, evaluated on the full product through
+    # wdvv_failures
+    def value(marks, d):
+        return _gw(space, tuple(sorted(marks, reverse=True)), d, store, "default")
+
+    identities = list(wdvv_identities(space, d_max, n_marks_max))
+    kept = ((quad, back, d) for quad, back, d in identities
+            if abelian_gw.kunneth_allows(space.n, quad + back, d, len(back)))
+    found = abelian_gw.Violations(
+        {"quad": quad, "background": back, "degree": d, "values": sides}
+        for quad, back, d, sides in abelian_gw.wdvv_failures(kept, abelian_gw.wdvv_sides(space, value))
+    )
+    found.instances = len(identities)
+    return found
+
+
+@pytest.mark.parametrize("space, d_max, n_marks_max, choose, counts", [
+    (ProductSpace(2, 4), 1, 5, lambda keys: keys, (4, 4)),
+    (ProductSpace(2, 3), 2, 6, lambda keys: keys[::10], (12, 12)),
+    (ProductSpace(3, 2), 3, 5, lambda keys: keys, (9, 9)),
+    # 6 marks on three factors: projections onto two factors that differ
+    # only in d_P, (1, 2) against (2, 1); corrupt the keys read there
+    (ProductSpace(3, 2), 3, 6, lambda keys: [key for key in keys if key[0] == 2], (8, 8)),
+], ids=["(P3)^2", "(P2)^2", "(P1)^3", "(P1)^3-6-marks"])
+def test_check_wdvv_matches_reference(space, d_max, n_marks_max, choose, counts):
+    # the projections change how an identity is evaluated, not what the
+    # check reports: the same instances and violations (order, quads,
+    # backgrounds, degrees and values) as the full-product loop, on a clean
+    # store and on warm stores with one key corrupted at a time (the keys
+    # choose picks from the sorted warm store)
+    def both(got_store, want_store):
+        got = check_wdvv(space, d_max, n_marks_max, got_store)
+        want = reference_check_wdvv(space, d_max, n_marks_max, want_store)
+        assert (got.instances, got) == (want.instances, want)
+        assert all(type(x) is Fraction for v in got for x in v["values"])
+        return got
+
+    warm, clean = MemoStore(), MemoStore()
+    assert both(warm, clean) == []
+    # the same keys, each computed once
+    assert warm.data == clean.data and warm.misses == clean.misses == len(warm)
+
+    def corrupted(key):
+        bad = MemoStore()
+        bad.data.update(warm.data)
+        bad.data[key] += 1
+        return bad
+
+    keys = choose(sorted(warm.data))
+    detected = sum(both(corrupted(key), corrupted(key)) != [] for key in keys)
+    assert (len(keys), detected) == counts
 
 
 def _counting_steps(monkeypatch):
