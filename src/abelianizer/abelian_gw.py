@@ -88,6 +88,7 @@ import itertools
 import math
 import operator
 import os
+import re
 import threading
 from collections import Counter
 from fractions import Fraction
@@ -119,8 +120,9 @@ class MemoStore:
     writes are serialized, so concurrent duplicated computation is safe.
 
     brackets holds the lifted Grassmannian brackets derived from these
-    invariants (correspondence.i_bracket), so that they die with the store
-    and never outlive a corrupted one.
+    invariants (correspondence.i_bracket), and tables the contracted child
+    brackets of correction formulas (correspondence.evaluate_formula), so
+    that they die with the store and never outlive a corrupted one.
     """
 
     VERSION = "abelian-gw-cache v1"
@@ -130,6 +132,7 @@ class MemoStore:
         self.hits = 0
         self.misses = 0
         self.brackets: dict = {}
+        self.tables: dict = {}
         self._lock = threading.Lock()
         # (absolute path, file stamp) of the cache file last loaded or saved,
         # and whether the store may hold a key that file lacks
@@ -174,9 +177,10 @@ class MemoStore:
 
     @staticmethod
     def parse_key_text(text: str, pieces=None):
-        """The key whose key_text is text; ValueError on a number < 0 or an
-        exponent >= n.  pieces, a pair of dicts kept across calls, holds each
-        comma- and (by n) dot-separated piece of text already parsed."""
+        """The key whose key_text is text; ValueError on a number other than
+        ASCII digits ([0-9]+) or an exponent >= n.  pieces, a pair of dicts
+        kept across calls, holds each comma- and (by n) dot-separated piece
+        of text already parsed."""
         commas, dots = pieces or ({}, {})
         head, dpart, ipart = text.split("|")
         k, n = _parse_piece(commas, head, ",")
@@ -240,8 +244,9 @@ class MemoStore:
 
         Raises CacheVersionError on a wrong header, and CacheFormatError on a
         path that is a directory or a file that is not UTF-8 text, on a
-        malformed entry (k < 1, n < 2, a number < 0, a multidegree or a mark of
-        other than k entries, an exponent >= n, fewer than 3 marks), on a
+        malformed entry (a key number other than ASCII digits, a value other
+        than -?[0-9]+/[0-9]+, k < 1, n < 2, a multidegree or a mark of other
+        than k entries, an exponent >= n, fewer than 3 marks), on a
         non-integral value, and on an entry that contradicts the product
         formula, another entry or this store; the store is then unchanged.
         """
@@ -265,8 +270,10 @@ class MemoStore:
                     raise ValueError(key)
                 value = values.get(val_text)
                 if value is None:
-                    num, den = val_text.split("/")
-                    value = Fraction(int(num), int(den))
+                    match = _VALUE.fullmatch(val_text)
+                    if match is None:
+                        raise ValueError(val_text)
+                    value = Fraction(int(match[1]), int(match[2]))
                     # every invariant of (P^{n-1})^k is an integer, kept as
                     # the int a computation stores
                     if value.denominator != 1:
@@ -313,11 +320,20 @@ def _piece_text(memo: dict, ints: tuple, sep: str) -> str:
     return text
 
 
+# the number grammar of a cache file: ASCII digits, and a sign only on a
+# value's numerator
+_NUMBER = re.compile(r"[0-9]+")
+_VALUE = re.compile(r"(-?[0-9]+)/([0-9]+)")
+
+
 def _parse_piece(memo: dict, text: str, sep: str, bound=None) -> tuple:
     ints = memo.get(text)
     if ints is None:
-        ints = tuple([int(x) for x in text.split(sep)])
-        if min(ints) < 0 or bound is not None and max(ints) >= bound:
+        fields = text.split(sep)
+        if not all(map(_NUMBER.fullmatch, fields)):
+            raise ValueError(text)
+        ints = tuple([int(x) for x in fields])
+        if bound is not None and max(ints) >= bound:
             raise ValueError(text)
         memo[text] = ints
     return ints

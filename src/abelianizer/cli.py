@@ -1,8 +1,9 @@
 """Command-line front end: invariants, verification suites, tables, cache.
 
-Exit codes: 0 success, 1 violations found, 2 usage error, 3 cache error
-(wrong version header or a malformed entry).  The environment variable
-ABELIANIZER_CACHE overrides --cache.
+Exit codes: 0 success, 1 violations found, 2 usage error (an --out path
+that cannot be written too), 3 cache error (wrong version header, a
+malformed entry, or a cache path that cannot be read or written).  The
+environment variable ABELIANIZER_CACHE overrides --cache.
 """
 
 from __future__ import annotations
@@ -231,6 +232,14 @@ def run_suites(cfg: RunConfig, store: MemoStore) -> list[Report]:
 # ---------------------------------------------------------------------------
 # commands
 
+class CommandError(Exception):
+    """Ends a command with a one-line message on stderr and exit code code."""
+
+    def __init__(self, message: str, code: int):
+        super().__init__(message)
+        self.code = code
+
+
 def _resolve_cache(args) -> str:
     return os.environ.get("ABELIANIZER_CACHE") or getattr(args, "cache", None)
 
@@ -239,21 +248,30 @@ def _open_store(args) -> MemoStore:
     path = _resolve_cache(args)
     store = MemoStore()
     if path and os.path.exists(path):
-        store.load(path)
+        try:
+            store.load(path)
+        except OSError as exc:
+            raise CommandError(f"cache error: cannot read {path}: {exc.strerror}", 3) from None
     return store
 
 
 def _save_store(args, store: MemoStore) -> None:
     path = _resolve_cache(args)
     if path:
-        store.save(path)
+        try:
+            store.save(path)
+        except OSError as exc:
+            raise CommandError(f"cache error: cannot write {path}: {exc.strerror}", 3) from None
 
 
 def _emit(args, out: str) -> None:
     """Write a command's output to --out, or print it."""
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(out + "\n")
+        except OSError as exc:
+            raise CommandError(f"error: cannot write {args.out}: {exc.strerror}", 2) from None
     else:
         print(out)
 
@@ -409,6 +427,9 @@ def main(argv=None) -> int:
     except CacheFormatError as exc:
         print(f"cache error: {exc}", file=sys.stderr)
         return 3
+    except CommandError as exc:
+        print(exc, file=sys.stderr)
+        return exc.code
     parser.error("unknown command")
 
 

@@ -195,13 +195,24 @@ def _derivatives(br, xi):
                 yield s, br[:i] + (grown,) + br[i + 1:]
 
 
-def bracket_degree(insertions, box: BoxSpec):
-    """The one degree e >= 0 at which the lifted bracket of insertions can be
-    nonzero, or None: where the codimensions, omega's being binom(k, 2), add
-    up to virtual_dim on (P^{n-1})^k, which grows by n per unit of degree."""
-    codim = sum(i.lam.weight + i.omega * math.comb(box.k, 2) for i in insertions)
-    e, r = divmod(codim - virtual_dim(space_of(box), (0,) * box.k, len(insertions)), box.n)
+def codim(ins: Insertion, k: int) -> int:
+    """The codimension of an insertion on (P^{n-1})^k: |lam|, and binom(k, 2)
+    more for omega."""
+    return ins.lam.weight + ins.omega * math.comb(k, 2)
+
+
+def degree_of(codim_sum: int, m: int, box: BoxSpec):
+    """The one degree e >= 0 at which an m-point lifted bracket of total
+    codimension codim_sum can be nonzero, or None: where codim_sum is
+    virtual_dim on (P^{n-1})^k, which grows by n per unit of degree."""
+    e, r = divmod(codim_sum - virtual_dim(space_of(box), (0,) * box.k, m), box.n)
     return e if e >= 0 and not r else None
+
+
+def bracket_degree(insertions, box: BoxSpec):
+    """The one degree at which the lifted bracket of insertions can be
+    nonzero, or None (degree_of)."""
+    return degree_of(sum(codim(i, box.k) for i in insertions), len(insertions), box)
 
 
 def evaluate_formula(tree: FormulaTree, partitions, d: int, box: BoxSpec,
@@ -209,9 +220,13 @@ def evaluate_formula(tree: FormulaTree, partitions, d: int, box: BoxSpec,
     """Evaluate the corrected l-point Grassmannian invariant at degree d.
 
     Each group is contracted from the leaves up: a bracket at its parent's index
-    is summed over its children's indices (each child contracted once per index
-    in this call) at its bracket_degree alone.  A tuple that breaks the
-    dimension rule (virtual_dim) is 0 before any bracket is evaluated.
+    is summed over its children's indices at its one degree (degree_of) alone.
+    A child's table, the child contracted at each index, depends only on the
+    box, eps_off and what the child holds: the multiset of its realized
+    insertions and, recursively, of its children's.  Keyed so, it is kept on
+    the store (MemoStore.tables) and shared by every call that meets it.  A
+    tuple that breaks the dimension rule (virtual_dim) is 0 before any bracket
+    is evaluated.
     """
     parts = [Partition(p) for p in partitions]
     if len(parts) != tree.l:
@@ -222,29 +237,39 @@ def evaluate_formula(tree: FormulaTree, partitions, d: int, box: BoxSpec,
     for s, p in enumerate(parts):
         realized[("xi", s)], realized[("lom_s", s)] = Lifted(p), LiftedTimesOmega(p)
 
-    @functools.cache
-    def table(child) -> list:
-        # (s~_{a^vee}, the child contracted at a) for each a where that is nonzero
-        return [(Lifted(box.dual(a)), w)
-                for a in box.basis if (w := contract(child, LiftedTimesOmega(a)))]
+    def split(br):
+        # the realized insertions of br but its parent's index, and its children's (key, rows)
+        fixed = [realized[slot] for slot in br if not is_child(slot) and slot != UP_SLOT]
+        return fixed, [table(slot) for slot in br if is_child(slot)]
 
-    def contract(br, up) -> Fraction:
-        # up: the parent's index a, realized as s~_a.w
-        fixed, children = [], []
-        for slot in br:
-            if is_child(slot):
-                children.append(table(slot))
-            else:
-                fixed.append(up if slot == UP_SLOT else realized[slot])
+    @functools.cache
+    def table(child) -> tuple:
+        # (the child's key, its rows (s~_{a^vee}, its codim, the child contracted
+        # at a) for each a where that is nonzero)
+        fixed, children = split(child)
+        key = (tuple(sorted(fixed)), tuple(sorted(sub for sub, _ in children)))
+        rows = store.tables.get((box, key, eps_off))
+        if rows is None:
+            rows = []
+            for a in box.basis:
+                if w := contract(fixed + [LiftedTimesOmega(a)], children):
+                    dual = Lifted(box.dual(a))
+                    rows.append((dual, codim(dual, box.k), w))
+            # stored whole, so a call that raises leaves no partial table
+            rows = store.tables[box, key, eps_off] = tuple(rows)
+        return key, rows
+
+    def contract(fixed, children) -> Fraction:
+        m, base = len(fixed) + len(children), sum(codim(i, box.k) for i in fixed)
         value = Fraction(0)
-        for choice in itertools.product(*children):
-            ins = fixed + [dual for dual, _ in choice]
-            e = bracket_degree(ins, box)
+        for choice in itertools.product(*[rows for _, rows in children]):
+            e = degree_of(base + sum(c for _, c, _ in choice), m, box)
             if e is not None:
-                value += math.prod((w for _, w in choice), start=i_bracket(ins, e, box, store, eps_off))
+                ins = fixed + [dual for dual, _, _ in choice]
+                value += math.prod((w for _, _, w in choice), start=i_bracket(ins, e, box, store, eps_off))
         return value
 
-    return sum((sign * contract(root, None) for sign, root in tree.groups), Fraction(0))
+    return sum((sign * contract(*split(root)) for sign, root in tree.groups), Fraction(0))
 
 
 def render_formula(tree: FormulaTree) -> str:

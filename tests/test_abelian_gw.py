@@ -539,6 +539,36 @@ def test_memo_store_malformed_entry(tmp_path, entry):
 
 
 @pytest.mark.parametrize("entry", [
+    "2,4|1,0|3.0;2.3;2.0;1.0\t1_0/1",        # int() reads 10
+    "2,4|1,0|3.0;2.3;2.0;1.0\t 1/1",
+    "2,4|1,0|3.0;2.3;2.0;1.0\t+1/1",
+    "2,4|1,0|3.0;2.3;2.0;1.0\t١/1",     # ARABIC-INDIC DIGIT ONE
+    "2,4|1,0|3.0;2.3;2.0;1.0\t1/1_0",
+    "2,4|1,0|3.0;2.3;2.0;1.0\t1/ 1",
+    "2,4|1,0|3.0;2.3;2.0;1.0\t1/+1",
+    "2,4|1,0|3.0;2.3;2.0;1.0\t1/-1",
+    "2,4|1,0|3.0;2.3;2.0;1.0\t1/١",
+    "2,4|0_1,0|3.0;2.3;2.0;1.0\t1/1",        # int() reads degree 1
+    "2,4|1, 0|3.0;2.3;2.0;1.0\t1/1",
+    "+2,4|1,0|3.0;2.3;2.0;1.0\t1/1",
+    "2,4|1,-0|3.0;2.3;2.0;1.0\t1/1",
+    "2,4|1,0|3.0;2.3;2.0;1.٠\t1/1",     # ARABIC-INDIC DIGIT ZERO
+    "2,4|1,0|3.0;2.3;2.0;1.0 \t1/1",
+], ids=["num-underscore", "num-space", "num-plus", "num-non-ascii", "den-underscore",
+        "den-space", "den-plus", "den-minus", "den-non-ascii", "key-underscore",
+        "key-space", "key-plus", "key-minus", "key-non-ascii", "key-trailing-space"])
+def test_memo_store_pins_number_grammar(tmp_path, entry):
+    # abelian-gw-cache v1 numbers are ASCII digits, with a sign only on a
+    # value's numerator; int() takes each of these, the true value is 1
+    path = tmp_path / "bad.txt"
+    path.write_text(f"{GOLDEN_TEXT}{entry}\n", encoding="utf-8")
+    st = MemoStore()
+    with pytest.raises(CacheFormatError, match=":8: malformed entry"):
+        st.load(path)
+    assert st.data == {}
+
+
+@pytest.mark.parametrize("entry", [
     "2,4|1,0|5.0;1.1;1.1;1.1\t7/1",    # a mark entry >= n: H_1^5 = 0 on P^3
     "2,4|1,0|-1.0;3.1;3.1;3.1\t2/1",   # a negative mark entry
     "2,4|-1,1|3.0;2.3;2.0;1.0\t0/1",   # a negative degree

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import socket
 import subprocess
 import sys
 
@@ -185,6 +186,53 @@ def test_cache_unreadable_path(tmp_path, capsys, kind):
         assert list(bad.iterdir()) == []
     else:
         assert bad.read_bytes() == b"\xff"
+
+
+@pytest.mark.parametrize("argv, code, prefix", [
+    (["verify", "--k", "2", "--n", "4", "--suite", "two-point", "--out", "{missing}/x.json"],
+     2, "error: "),
+    (["table", "--k", "2", "--n", "4", "--out", "{missing}/x.csv"], 2, "error: "),
+    (["invariant", "--k", "2", "--n", "4", "--parts", "[1];[2,1];[2,2]", "--d", "1",
+      "--cache", "{missing}/x.cache"], 3, "cache error: "),
+], ids=["verify-out", "table-out", "invariant-cache"])
+def test_unwritable_path_exit_code(argv, code, prefix, tmp_path, capsys, monkeypatch):
+    # a path in a missing directory ends with the documented exit code and
+    # one line on stderr naming the path, not with a traceback
+    monkeypatch.delenv("ABELIANIZER_CACHE", raising=False)
+    missing = tmp_path / "missing"
+    got = run_cli([a.format(missing=missing) for a in argv])
+    err = capsys.readouterr().err
+    assert got == code
+    assert err.startswith(prefix) and err.count("\n") == 1 and str(missing) in err
+    assert not missing.exists()
+
+
+@pytest.mark.skipif(not hasattr(socket, "AF_UNIX"), reason="needs a Unix socket file")
+def test_unreadable_cache_path_exit_code(tmp_path, capsys, monkeypatch):
+    # a socket file exists but cannot be opened: a cache error, not a traceback
+    monkeypatch.delenv("ABELIANIZER_CACHE", raising=False)
+    path = tmp_path / "x.cache"
+    with socket.socket(socket.AF_UNIX) as sock:
+        sock.bind(str(path))
+        code = run_cli(["invariant", "--k", "2", "--n", "4", "--parts", "[1];[2,1];[2,2]",
+                        "--d", "1", "--cache", str(path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith(f"cache error: cannot read {path}: ") and err.count("\n") == 1
+
+
+def test_cache_lenient_number_is_malformed(tmp_path, capsys, monkeypatch):
+    # int() reads 1_0 as 10; the cache grammar has no underscore
+    monkeypatch.delenv("ABELIANIZER_CACHE", raising=False)
+    bad = tmp_path / "bad.cache"
+    text = f"{MemoStore.VERSION}\n2,4|1,0|3.0;2.3;2.0;1.0\t1_0/1\n"
+    bad.write_text(text)
+    code = run_cli(["invariant", "--k", "2", "--n", "4", "--parts", "[1];[2,1];[2,2];[1]",
+                    "--d", "1", "--cache", str(bad)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("cache error: ") and ":2: malformed entry" in err
+    assert bad.read_text() == text
 
 
 @pytest.mark.parametrize("key", [

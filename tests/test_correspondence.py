@@ -166,6 +166,36 @@ def test_tree_contraction_matches_assignment_loop():
     assert all(bracket_degree(ins, B24) == e for _, ins, e, _ in tree_store.brackets)
 
 
+# the store a shared run ends with, as it was before child tables were kept
+# on the store: (entries, hits, misses, sha256 of its sorted data)
+SHARED_STORE_END = {
+    (2, 4): (238, 738, 238, "dea7bf840e1074ed"),
+    (2, 5): (1834, 9253, 1834, "baa908d93d744501"),
+}
+
+
+@pytest.mark.parametrize("k, n, d_max", [(2, 4, 3), (2, 5, 2)])
+def test_shared_store_tables_match_fresh_stores(k, n, d_max):
+    # a child's table is kept on the store under what the child holds, so a
+    # store shared by every admissible tuple at l <= 5, with eps_off calls
+    # interleaved, must give each call the value, and each table the rows,
+    # of a store of its own.  Most nested tables are empty here, so a key
+    # that misses what a child's children hold shows in the rows first.
+    box, shared, count = BoxSpec(k, n), MemoStore(), 0
+    for l in (3, 4, 5):
+        tree = generate_formula(l)
+        for combo, d in admissible_tuples(box, l, d_max):
+            for eps_off in (False, True):
+                got = evaluate_formula(tree, list(combo), d, box, shared, eps_off)
+                alone = MemoStore()
+                assert got == evaluate_formula(tree, list(combo), d, box, alone, eps_off), (combo, d, eps_off)
+                assert all(shared.tables[key] == rows for key, rows in alone.tables.items()), (combo, d)
+                count += 1
+    assert count > 200 and shared.tables
+    digest = hashlib.sha256(repr(sorted(shared.data.items())).encode()).hexdigest()
+    assert (*shared.stats().values(), digest[:16]) == SHARED_STORE_END[k, n]
+
+
 def test_flatten_is_the_tagged_tree():
     # the 4-point correction: one contraction joins the two brackets
     (_, root), = [g for g in generate_formula(4).groups if g[0] < 0]

@@ -1,10 +1,10 @@
 """The package keeps no mutable state at module level.
 
-Values read from a store are memoized on that store (MemoStore.brackets)
-or in the call that reads them; a pure function of partitions or of a
-space (schur_polynomial, cohomology.delta, cohomology.lift,
-cohomology.bialternant, grassmannian.quantum_cup) memoizes with
-functools.cache and returns read-only values.  So the only module-level
+Values read from a store are memoized on that store (MemoStore.brackets,
+MemoStore.tables) or in the call that reads them; a pure function of
+partitions or of a space (schur_polynomial, cohomology.delta,
+cohomology.lift, cohomology.bialternant, grassmannian.quantum_cup)
+memoizes with functools.cache and returns read-only values.  So the only module-level
 container is the constant table of CLI suites.
 
 The last tests hold the module surface to what other files name: the
