@@ -4,8 +4,12 @@
 Usage: python scripts/verify_all.py [--deep] [--cache PATH]
 
 --deep raises the insertion bound from 5 to 6 marks (about four times as
-long).  Exit status 1 when any suite reports a violation, 3 when the
-cache file cannot be read (wrong version header or a malformed entry).
+long).  --cache PATH loads the store from PATH when it exists and saves it
+there after the battery.  Exit status 1 when any suite reports a
+violation, 3 when the cache file cannot be read (wrong version header, a
+malformed entry, or an OSError such as a path that cannot be opened) or
+written (an OSError such as a path in a missing directory), with one
+`cache error: ...` line on stderr.
 """
 
 import argparse
@@ -43,6 +47,9 @@ def main():
         except CacheFormatError as exc:
             print(f"cache error: {exc}", file=sys.stderr)
             return 3
+        except OSError as exc:
+            print(f"cache error: cannot read {args.cache}: {exc.strerror}", file=sys.stderr)
+            return 3
 
     print(f"{'target':<10} {'suite':<22} {'instances':>9} {'pass':>5} {'time':>8}")
     ok = True
@@ -52,7 +59,14 @@ def main():
             print(f"Gr({cfg.k},{cfg.n})   {rep.suite:<22} {rep.instances:>9} "
                   f"{str(rep.passed):>5} {rep.wall_time:>7.2f}s")
     if args.cache:
-        store.save(args.cache)
+        try:
+            store.save(args.cache)
+        except CacheFormatError as exc:
+            print(f"cache error: {exc}", file=sys.stderr)
+            return 3
+        except OSError as exc:
+            print(f"cache error: cannot write {args.cache}: {exc.strerror}", file=sys.stderr)
+            return 3
     print("cache:", store.stats())
     return 0 if ok else 1
 

@@ -22,9 +22,35 @@ with d_i = 0) and reads one such key per multiset of P-parts whose
 Z-exponents end at n - 1.  The store so holds keys with every d_i > 0 and
 k' = |P| <= k factors; at d <= 1 they are keys of P^{n-1}, shared by
 every k.
-Invariants with four or more insertions are reconstructed through the
-divisor relation and the associativity (WDVV) constraints of the big
-quantum product, with exact memoization.
+
+A key with 4 or 5 marks, k' >= 2 factors and no fundamental-class mark
+is computed in closed form from P^{n-1} data (_kunneth).  By the product
+formula the invariant is the integral over M-bar_{0,m} of the cup product
+of the factors' classes, factor i's in H^(2 ex_i)(M-bar_{0,m}), and the
+ex_i add up to m - 3 = dim M-bar_{0,m}.  The class of a factor with
+ex_i = 0 is a number times 1, its value at the point 12|34 (m = 4) or
+12|5|34 (m = 5): by the splitting axiom, a sum over degree splittings of
+products of 3-point invariants of P^{n-1}, each 1 iff its exponents add
+up to n - 1 + n e, all < n.  That number is 1.  At 12|34 the vertex
+<c_1, c_2, mu>_e holds only at e = (c_1 + c_2) // n, at most 1 and so at
+most d_i, with mu^dual = H^((c_1 + c_2) % n), and <mu^dual, c_3, c_4>_f
+then holds since ex_i = 0; at 12|5|34 likewise with e + g =
+(c_1 + c_2 + c_5) // n, which ex_i = 0 keeps at most d_i.  So
+- one factor has ex_i = m - 3: the value is its own m-mark invariant of
+  P^{n-1}, a k = 1 key;
+- m = 5 and two factors have ex_i = 1: the value pairs their H^2
+  classes.  A class is known by its degrees on the boundary divisors
+  D_ab, each the sum over splittings of <c_a, c_b, mu>_e
+  <mu^dual, the other three>_f, whose 4-mark factor is a k = 1 key
+  (_boundary_degrees).  On H^2(M-bar_{0,5}) (Keel, Trans. AMS 330, 1992)
+  D_ab.D_ab = -1, D_ab.D_cd = 1 for disjoint pairs and 0 for pairs that
+  share a mark.  The Gram matrix G of D_12, D_13, D_14, D_15, D_23 has
+  determinant 1, so the pairing a^T G^-1 b of two classes' degree
+  vectors on them is an integer.
+The other keys, those of P^{n-1} and those of 6 or more marks, are
+reconstructed through the divisor relation and the associativity (WDVV)
+constraints of the big quantum product.  Every computed key is stored,
+by either route, with exact memoization.
 
 WDVV bookkeeping.  For basis elements u, v, x, y, a background multiset B
 and a curve class d, put
@@ -441,6 +467,8 @@ def _gw(space, ins, d, store, policy) -> int:
 
     if any(sum(e) == 0 for e in ins):
         value = 0  # fundamental-class axiom; here d != 0, since m >= 4
+    elif len(d) > 1 and len(ins) < 6:
+        value = _kunneth(space, ins, d, store, policy)  # 4 or 5 marks, k' >= 2
     else:
         div = next((e for e in ins if sum(e) == 1), None)
         if div is not None:
@@ -489,6 +517,51 @@ def _closed_form(n: int, ins, d):
 def _remove_one(ins: tuple, item) -> tuple:
     idx = ins.index(item)
     return ins[:idx] + ins[idx + 1 :]
+
+
+# D_12, D_13, D_14, D_15, D_23 on M-bar_{0,5} (marks counted from 0), and the
+# inverse of their Gram matrix, which has determinant 1
+_DIVISORS5 = ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2))
+_GRAM5_INVERSE = (
+    (-1, 0, 0, 0, 0),
+    (0, -1, 0, 0, 0),
+    (0, 0, 0, 1, 1),
+    (0, 0, 1, 0, 1),
+    (0, 0, 1, 1, 1),
+)
+
+
+def _kunneth(space, ins, d, store, policy) -> int:
+    """<ins>_d for 4 or 5 marks on (P^{n-1})^k, k >= 2, every d_i > 0 and no
+    fundamental-class mark, by the product formula on M-bar_{0,m} (see the
+    module docstring); the k = 1 invariants it needs are read through _gw."""
+    n = space.n
+    line = ProductSpace(1, n)
+
+    def read(marks, e):
+        return _gw(line, tuple(sorted([(x,) for x in marks], reverse=True)), (e,), store, policy)
+
+    # the factors with ex_i > 0; the class of every other factor is 1
+    raised = [(col, di) for col, di in zip(zip(*ins), d) if sum(col) > n - 1 + n * di]
+    if len(raised) == 1:
+        return read(*raised[0])
+    a, b = (_boundary_degrees(n, col, di, read) for col, di in raised)
+    return sum([a[r] * g * b[s] for r, row in enumerate(_GRAM5_INVERSE) for s, g in enumerate(row) if g])
+
+
+def _boundary_degrees(n: int, col, d: int, read) -> list:
+    """The degrees on the divisors of _DIVISORS5 of one factor's class in
+    H^2(M-bar_{0,5}), for its exponents col = (c_1, ..., c_5) at degree d:
+    on D_ab the sum over e + f = d and mu of <c_a, c_b, mu>_e
+    <mu^dual, the other three>_f on P^{n-1}.  The 3-point factor is 1 iff
+    c_a + c_b + mu = n - 1 + n e with mu < n, so only at
+    e = (c_a + c_b) // n <= 1 <= d, where mu^dual = H^((c_a + c_b) % n)."""
+    degrees = []
+    for a, b in _DIVISORS5:
+        rest = [c for j, c in enumerate(col) if j != a and j != b]
+        s = col[a] + col[b]
+        degrees.append(read((s % n, *rest), d - s // n))
+    return degrees
 
 
 def _wdvv_step(space, ins, d, store, policy) -> int:

@@ -1324,15 +1324,15 @@ def test_check_wdvv_matches_reference(space, d_max, n_marks_max, choose, counts)
 
 
 def _counting_steps(monkeypatch):
-    # {(d, marks): WDVV steps taken on that key}
+    # {(d, marks): computations of that key, by a WDVV step or by the
+    # product formula (_kunneth)}
     steps = Counter()
-    step = abelian_gw._wdvv_step
+    for name in ("_wdvv_step", "_kunneth"):
+        def counting(sp, ins, d, store, policy, route=getattr(abelian_gw, name)):
+            steps[(d, ins)] += 1
+            return route(sp, ins, d, store, policy)
 
-    def counting(sp, ins, d, store, policy):
-        steps[(d, ins)] += 1
-        return step(sp, ins, d, store, policy)
-
-    monkeypatch.setattr(abelian_gw, "_wdvv_step", counting)
+        monkeypatch.setattr(abelian_gw, name, counting)
     return steps
 
 
@@ -1348,6 +1348,9 @@ def test_wdvv_check_steps_each_key_once(monkeypatch, space, d_max, n_marks_max):
     st = MemoStore()
     assert check_wdvv(space, d_max, n_marks_max, st) == []
     assert len(steps) > 20 and max(steps.values()) == 1
+    # both routes ran: WDVV steps on keys of P^{n-1}, the product formula on
+    # keys of two factors
+    assert {len(d) for d, _ in steps} == {1, 2}
     assert st.misses == len(st)
 
 
@@ -1388,7 +1391,9 @@ def test_no_key_computed_twice_on_large_projective_spaces(monkeypatch, n):
 
 @pytest.mark.parametrize("space, d_max, m_max, reconstructed, differ", [
     (ProductSpace(1, 5), 3, 6, 13, 12),
-    (ProductSpace(2, 3), 2, 6, 69, 51),
+    # 4- and 5-mark keys of (P^2)^2 take the product formula under either
+    # policy, so only the P^2 keys they read and the 6-mark steps differ
+    (ProductSpace(2, 3), 2, 6, 69, 22),
 ], ids=["P4", "(P2)^2"])
 def test_alt_policy_takes_another_route(space, d_max, m_max, reconstructed, differ):
     # the policy-independence tests have teeth only where the two pivot
@@ -1405,3 +1410,51 @@ def test_alt_policy_takes_another_route(space, d_max, m_max, reconstructed, diff
                 seen += 1
                 apart += default.data.keys() != alt.data.keys()
     assert (seen, apart) == (reconstructed, differ)
+
+
+def _point_number(n, col, d):
+    # the class of a factor with ex = 0 at the point 12|34 (four marks) or
+    # 12|5|34 (five) of M-bar_{0,m}, by the splitting axiom: the sum over
+    # every degree split and every mu of products of 3-point invariants of
+    # P^{n-1}, each 1 iff its exponents add up to n - 1 + n e
+    def three(a, b, c, e):
+        return int(a + b + c == n - 1 + n * e)
+
+    c1, c2, c3, c4, *middle = col
+    total = 0
+    for e, mu in itertools.product(range(d + 1), range(n)):
+        if not three(c1, c2, mu, e):
+            continue
+        if not middle:
+            total += three(n - 1 - mu, c3, c4, d - e)
+            continue
+        for g, nu in itertools.product(range(d - e + 1), range(n)):
+            total += three(n - 1 - mu, middle[0], nu, g) * three(n - 1 - nu, c3, c4, d - e - g)
+    return total
+
+
+@pytest.mark.parametrize("space, d_max", [
+    (ProductSpace(2, 3), 4),
+    (ProductSpace(2, 4), 3),
+    (ProductSpace(3, 3), 3),
+    (ProductSpace(2, 5), 2),
+], ids=["(P2)^2", "(P3)^2", "(P2)^3", "(P4)^2"])
+def test_kunneth_route_matches_wdvv_step(space, d_max):
+    # every 4- and 5-mark key that _gw settles by the product formula (every
+    # d_i > 0, no fundamental-class mark, allowed by kunneth_allows) equals a
+    # WDVV step on the same key, and every factor with ex = 0 has point
+    # number 1, as _kunneth takes it
+    n, store, shapes = space.n, MemoStore(), Counter()
+    for m in (4, 5):
+        for combo, d in admissible_tuples(space, m, d_max):
+            if not all(d) or min(map(sum, combo)) == 0 or not abelian_gw.kunneth_allows(n, combo, d, m - 3):
+                continue
+            ins = tuple(sorted(combo, reverse=True))
+            cols = list(zip(*ins))
+            ex = [sum(col) - (n - 1) - n * di for col, di in zip(cols, d)]
+            assert all(_point_number(n, col, di) == 1 for col, di, x in zip(cols, d, ex) if not x), (ins, d)
+            got = abelian_gw._kunneth(space, ins, d, store, "default")
+            assert got == abelian_gw._wdvv_step(space, ins, d, store, "default"), (ins, d)
+            shapes[m, max(ex), got != 0] += 1
+    # m = 4, and both m = 5 shapes: one factor at ex = 2, or two at ex = 1
+    assert {shape for shape, count in shapes.items() if shape[2]} == {(4, 1, True), (5, 2, True), (5, 1, True)}
