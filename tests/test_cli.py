@@ -279,6 +279,7 @@ def test_verify_all_malformed_cache(tmp_path):
     assert proc.stderr.startswith("cache error: ") and proc.stderr.count("\n") == 1
 
 
+@pytest.mark.skipif(not hasattr(socket, "AF_UNIX"), reason="needs a Unix socket file")
 @pytest.mark.parametrize("kind, verb", [("missing", "write"), ("socket", "read")])
 def test_verify_all_cache_os_error_exit_code(kind, verb, tmp_path, capsys, monkeypatch):
     # a --cache path in a missing directory cannot be written, a socket file
