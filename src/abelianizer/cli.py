@@ -14,7 +14,6 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .partitions import BoxSpec, Partition, multidegree_text, parse_partition
@@ -36,23 +35,19 @@ from .jfunctions import i_function, solve_c_coefficients
 REPORT_SCHEMA = "report v1"
 FIVE_POINT_SAMPLES = 50  # permuted 5-point tuples that five-point-symmetry draws
 
-@dataclass
 class RunConfig:
-    k: int
-    n: int
-    max_degree: int = 2
-    max_insertions: int = 5
-    suites: tuple = ("all",)
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.k < 1 or self.n < 2:
+    def __init__(self, k: int, n: int, max_degree: int = 2, max_insertions: int = 5,
+                 suites: tuple = ("all",), seed: int = 0):
+        if k < 1 or n < 2:
             raise ValueError("need k >= 1 and n >= 2")
-        if min(self.max_degree, self.max_insertions) < 0:
+        if min(max_degree, max_insertions) < 0:
             raise ValueError("bounds must be nonnegative")
-        bad = [s for s in self.suites if s != "all" and s not in SUITES]
+        bad = [s for s in suites if s != "all" and s not in SUITES]
         if bad:
             raise ValueError(f"unknown suites: {bad}")
+        self.k, self.n = k, n
+        self.max_degree, self.max_insertions = max_degree, max_insertions
+        self.suites, self.seed = suites, seed
 
     def box(self) -> BoxSpec:
         return BoxSpec(self.k, self.n)  # raises when k >= n
@@ -61,14 +56,12 @@ class RunConfig:
         return ProductSpace(self.k, self.n)
 
 
-@dataclass
 class Report:
-    suite: str
-    instances: int
-    violations: list
-    wall_time: float
-    cache_stats: dict
-    details: dict = field(default_factory=dict)
+    def __init__(self, suite: str, instances: int, violations: list, wall_time: float,
+                 cache_stats: dict, details: dict | None = None):
+        self.suite, self.instances, self.violations = suite, instances, violations
+        self.wall_time, self.cache_stats = wall_time, cache_stats
+        self.details = {} if details is None else details
 
     @property
     def passed(self) -> bool:

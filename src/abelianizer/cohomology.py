@@ -17,7 +17,6 @@ the integration formula of Martin: int_Gr sigma = c^2 int_P Delta^2 * lift(sigma
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from math import comb, factorial
@@ -26,17 +25,15 @@ from types import MappingProxyType
 from . import sparse
 from .partitions import BoxSpec, GradedBasis, Partition, _perm_sign, complement, schur_polynomial
 
-@dataclass(frozen=True)
 class ProductSpace(GradedBasis):
     """(P^{n-1})^k.  Unlike BoxSpec there is no k < n constraint, so this
     also covers self-products such as P^1 x P^1."""
 
-    k: int
-    n: int
-
-    def __post_init__(self):
-        if self.k < 1 or self.n < 2:
-            raise ValueError(f"need k >= 1 and n >= 2, got k={self.k}, n={self.n}")
+    def __init__(self, k: int, n: int):
+        if k < 1 or n < 2:
+            raise ValueError(f"need k >= 1 and n >= 2, got k={k}, n={n}")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "n", n)
 
     @property
     def dim(self) -> int:

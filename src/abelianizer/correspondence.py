@@ -28,7 +28,6 @@ import itertools
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -155,12 +154,12 @@ def specialize_novikov(series: dict, k: int) -> dict:
 OM_SLOT, UP_SLOT = ("om",), ("up",)
 
 
-@dataclass
 class FormulaTree:
-    """Signed sum of bracket trees expressing an l-point invariant."""
+    """Signed sum of bracket trees expressing an l-point invariant: groups
+    holds the pairs (sign, root bracket)."""
 
-    l: int
-    groups: list  # (sign, root bracket)
+    def __init__(self, l: int, groups: list):
+        self.l, self.groups = l, groups
 
 
 def is_child(slot) -> bool:

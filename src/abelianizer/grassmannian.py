@@ -10,7 +10,6 @@ quantum differential equation order by order in the Novikov variable.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from types import MappingProxyType
@@ -120,7 +119,6 @@ def _matmul(A: dict, B: dict) -> dict:
     return out
 
 
-@dataclass
 class FundamentalSolution:
     """Solution of the divisor quantum differential equation.
 
@@ -139,12 +137,10 @@ class FundamentalSolution:
     A_d and the R_d at z = 1 are sparse matrices {(row, col): c}.
     """
 
-    basis: tuple
-    degrees: tuple
-    n: int
-    D: dict
-    A: dict
-    R: dict = field(default_factory=dict)
+    def __init__(self, basis: tuple, degrees: tuple, n: int, D: dict, A: dict, R: dict | None = None):
+        self.basis, self.degrees, self.n = basis, degrees, n
+        self.D, self.A = D, A
+        self.R = {} if R is None else R
 
     def graded(self, d: int) -> dict:
         """R_d at z = 1."""
@@ -227,7 +223,6 @@ def fundamental_solution(box: BoxSpec) -> FundamentalSolution:
     return FundamentalSolution(basis, tuple(lam.weight for lam in basis), box.n, D, A)
 
 
-@dataclass
 class ZSeries:
     """Cohomology-valued series in the Novikov variable and z.
 
@@ -237,7 +232,8 @@ class ZSeries:
     there is no z cutoff.
     """
 
-    coefficients: dict
+    def __init__(self, coefficients: dict):
+        self.coefficients = coefficients
 
     def coefficient(self, q_power: int, z_power: int) -> dict:
         return self.coefficients.get((q_power, z_power), {})

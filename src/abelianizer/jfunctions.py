@@ -10,7 +10,6 @@ is no z truncation anywhere: requested depths are guarantees, not cutoffs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 
@@ -101,19 +100,18 @@ def j_function_P(space: ProductSpace, d_total_max: int) -> dict[tuple, dict]:
 # ---------------------------------------------------------------------------
 # the I-function
 
-@dataclass
 class ISeries:
     """Twisted abelian J-series: per Novikov degree d the class
 
         I_d = (-1)^((k-1)d) sum over lifts dt of
               prod_{i<j} ((H_i - H_j) + z (d_i - d_j)) * J^dt,
 
-    a polynomial in z and 1/z with Weyl-anti-invariant coefficients.
+    a polynomial in z and 1/z with Weyl-anti-invariant coefficients,
+    kept in coeffs as {d: z-series}.
     """
 
-    box: BoxSpec
-    d_max: int
-    coeffs: dict  # {d: z-series}
+    def __init__(self, box: BoxSpec, d_max: int, coeffs: dict):
+        self.box, self.d_max, self.coeffs = box, d_max, coeffs
 
     def coefficient(self, d: int) -> dict:
         return self.coeffs.get(d, {})
@@ -155,7 +153,6 @@ def i_function(box: BoxSpec, d_max: int) -> ISeries:
 # ---------------------------------------------------------------------------
 # the C^i solve
 
-@dataclass
 class CSolveResult:
     """Outcome of matching the I-function against the z d_i-derivatives of
     the lifted Grassmannian J-function cupped with omega.
@@ -165,9 +162,8 @@ class CSolveResult:
     implicit); residual lists exact violations and must be empty.
     """
 
-    d_max: int
-    c_series: dict
-    residual: list
+    def __init__(self, d_max: int, c_series: dict, residual: list):
+        self.d_max, self.c_series, self.residual = d_max, c_series, residual
 
     @property
     def consistent(self) -> bool:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb
@@ -31,9 +30,33 @@ RIM_HOOK_SIGN_RULES = ("k_minus_height", "height_minus_one")
 
 
 class GradedBasis:
-    """The grading of a space's basis, shared by BoxSpec and ProductSpace:
-    an element's codimension is the sum of its entries (a Partition is the
-    tuple of its parts, a monomial its exponent vector)."""
+    """What BoxSpec and ProductSpace share.
+
+    Each is a frozen (k, n) value: its own __init__ validates k and n and
+    sets them through object.__setattr__, and then assigning or deleting an
+    attribute raises AttributeError.  Two spaces are equal, and hash alike,
+    when they are of one class and have the same (k, n).  Tables read off
+    the space are cached_property entries, which fill the instance dict
+    without assigning.  The basis is graded: an element's codimension is
+    the sum of its entries (a Partition is the tuple of its parts, a
+    monomial its exponent vector)."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.k, self.n) == (other.k, other.n)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.k, self.n))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(k={self.k!r}, n={self.n!r})"
 
     def basis_of_codim(self, c: int) -> list:
         """The basis elements of codimension c, in the order of basis."""
@@ -52,16 +75,14 @@ class GradedBasis:
         return {b: i for i, b in enumerate(self.basis)}
 
 
-@dataclass(frozen=True)
 class BoxSpec(GradedBasis):
     """The k x (n-k) rectangle indexing the Schubert basis of Gr(k, n)."""
 
-    k: int
-    n: int
-
-    def __post_init__(self):
-        if not 0 < self.k < self.n:
-            raise ValueError(f"need 0 < k < n, got k={self.k}, n={self.n}")
+    def __init__(self, k: int, n: int):
+        if not 0 < k < n:
+            raise ValueError(f"need 0 < k < n, got k={k}, n={n}")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "n", n)
 
     @property
     def cols(self) -> int:
@@ -151,13 +172,19 @@ def text_form(lam: Partition) -> str:
 
 
 def parse_partition(text: str) -> Partition:
+    """Read the text form: each part is ASCII digits ([0-9]+), with
+    whitespace allowed around it.  int() alone would also read a sign, an
+    underscore or a digit of another script."""
     text = text.strip()
     if not (text.startswith("[") and text.endswith("]")):
         raise ValueError(f"expected bracketed partition, got {text!r}")
     inner = text[1:-1].strip()
     if not inner:
         return EMPTY
-    return Partition(int(t) for t in inner.split(","))
+    parts = [t.strip() for t in inner.split(",")]
+    if not all(t.isascii() and t.isdigit() for t in parts):
+        raise ValueError(f"not a partition: {text}")
+    return Partition(map(int, parts))
 
 
 def _partitions_in_box(rows: int, cols: int):

@@ -268,6 +268,17 @@ def test_invariant_names_a_bad_partition(capsys):
     assert "not a partition: [1, 2]" in err and "generator" not in err
 
 
+@pytest.mark.parametrize("part", ["[\uff12]", "[+1]", "[1_0]", "[1,]"])
+def test_invariant_rejects_a_lenient_number(part, capsys):
+    # a part is ASCII digits: int() would also read a full-width 2, a sign,
+    # an underscore, or fail on an empty part with its own message
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["invariant", "--k", "2", "--n", "4", "--parts", f"{part};[1];[2,2]", "--d", "1"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"not a partition: {part}" in err and "int()" not in err
+
+
 def test_verify_all_malformed_cache(tmp_path):
     bad = tmp_path / "bad.cache"
     bad.write_text(TRUNCATED_CACHE)
@@ -439,12 +450,23 @@ def test_verify_j_i_suite(capsys):
 
 
 def test_run_config_validation():
-    with pytest.raises(ValueError):
-        RunConfig(k=0, n=4)
-    with pytest.raises(ValueError):
-        RunConfig(k=2, n=4, suites=("bogus",))
-    cfg = RunConfig(k=2, n=4)
+    for kwargs, message in [({"k": 0, "n": 4}, "need k >= 1 and n >= 2"),
+                            ({"k": 2, "n": 4, "max_insertions": -1}, "bounds must be nonnegative"),
+                            ({"k": 2, "n": 4, "suites": ("all", "bogus")}, "unknown suites: ['bogus']")]:
+        with pytest.raises(ValueError) as exc:
+            RunConfig(**kwargs)
+        assert str(exc.value) == message
+    cfg = RunConfig(2, 4)
+    assert (cfg.k, cfg.n, cfg.max_degree, cfg.max_insertions, cfg.suites, cfg.seed) == (
+        2, 4, 2, 5, ("all",), 0)
     assert cfg.box().dim == 4
+
+
+def test_report_details_are_per_instance():
+    first, second = (cli.Report("martin", 0, [], 0.0, {}) for _ in range(2))
+    first.details["x"] = 1
+    assert second.details == {} and first.passed
+    assert cli.Report("j-i", 1, [], 0.0, {}, {"c": 1}).details == {"c": 1}
 
 
 def test_correction_demo_script_runs():

@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,35 @@ def P(*parts):
 
 
 S24 = ProductSpace(2, 4)
+
+
+@pytest.mark.parametrize("cls, bad, message", [
+    (BoxSpec, (2, 2), "need 0 < k < n, got k=2, n=2"),
+    (ProductSpace, (0, 3), "need k >= 1 and n >= 2, got k=0, n=3"),
+])
+def test_space_value_semantics(cls, bad, message):
+    # BoxSpec and ProductSpace are frozen (k, n) values, keys of every
+    # store and memo: equal and hashed by (k, n), printed as a call
+    a = cls(2, 4)
+    assert a == cls(n=4, k=2) and hash(a) == hash((2, 4))
+    assert a != cls(2, 5) and a != (2, 4)
+    assert repr(cls(2, 5)) == f"{cls.__name__}(k=2, n=5)"
+    with pytest.raises(AttributeError):
+        a.k = 3
+    with pytest.raises(AttributeError):
+        del a.n
+    assert (a.k, a.n) == (2, 4)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        cls(*bad)
+    # cached_property fills the instance past the frozen assignment
+    assert a.basis is a.basis
+    assert [a.basis_index[b] for b in a.basis] == list(range(len(a.basis)))
+
+
+def test_box_and_product_space_differ():
+    # the same (k, n) in the two classes: two keys, never one
+    assert BoxSpec(2, 4) != ProductSpace(2, 4)
+    assert len({BoxSpec(2, 4), ProductSpace(2, 4)}) == 2
 
 
 def test_cup_ideal_relation():

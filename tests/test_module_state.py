@@ -8,7 +8,8 @@ memoizes with functools.cache and returns read-only values.  So the only module-
 container is the constant table of CLI suites.
 
 The last tests hold the module surface to what other files name: the
-benchmark's traced functions and the version in pyproject.toml.
+benchmark's traced functions and the version in pyproject.toml, and keep
+the import of the CLI, paid by every process, free of heavy modules.
 """
 
 import ast
@@ -16,6 +17,8 @@ import importlib
 import os
 import pkgutil
 import re
+import subprocess
+import sys
 
 import abelianizer
 
@@ -53,3 +56,18 @@ def test_version_matches_pyproject():
     with open(os.path.join(os.path.dirname(__file__), "..", "pyproject.toml")) as fh:
         (version,) = re.findall(r'^version = "([^"]+)"$', fh.read(), re.MULTILINE)
     assert abelianizer.__version__ == version
+
+
+def test_cli_import_leaves_out_heavy_modules():
+    # dataclasses pulls in inspect, ast, dis and tokenize: about 10 ms of
+    # every CLI process.  Counted against what the bare interpreter (site)
+    # has already loaded.
+    src = os.path.dirname(os.path.dirname(abelianizer.__file__))
+    code = ("import sys; bare = set(sys.modules); import abelianizer.cli; "
+            "print(' '.join(sorted(set(sys.modules) - bare)))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=60, check=True)
+    added = set(proc.stdout.split())
+    assert "abelianizer.cli" in added
+    assert added & {"dataclasses", "inspect", "ast", "dis", "tokenize"} == set()

@@ -256,3 +256,11 @@ def test_text_forms():
     assert multidegree_text((1, 0)) == "(1,0)"
     with pytest.raises(ValueError):
         parse_partition("2,1")
+    assert parse_partition(" [ 2 , 1 ] ") == P(2, 1)
+
+
+@pytest.mark.parametrize("text", ["[\uff12]", "[+1]", "[1_0]", "[1,]", "[2,\u0661]", "[1 1]"])
+def test_parse_partition_takes_ascii_digits_only(text):
+    with pytest.raises(ValueError) as exc:
+        parse_partition(text)
+    assert str(exc.value) == f"not a partition: {text}"
