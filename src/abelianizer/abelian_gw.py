@@ -398,22 +398,17 @@ def three_point(a: PClass, b: PClass, c: PClass, d: tuple) -> Fraction:
     return Fraction(integrate(cup(coeff, c)))
 
 
-def _factoring(ins, policy: str):
-    """(i, g', x1, others), x2 first in others, for the WDVV step on ins:
-    default takes as pivot H_i g' the mark with the least positive exponent
-    on any factor (first factor and mark of a tie), x1 one with the largest
-    on i; alt takes on the last factor the largest as x1, the second-largest
-    as pivot, and reverses others.  Both give x1_i >= (H_i g')_i > 0."""
+def _factoring(ins):
+    """(i, g', x1, others), x2 first in others, for the WDVV step on ins: the
+    pivot H_i g' is the mark with the least positive exponent on any factor
+    (first factor and mark of a tie), x1 one with the largest on i, so
+    x1_i >= (H_i g')_i > 0.  The values do not depend on which such rule
+    picks the pivot."""
     k = len(ins[0])
-    if policy == "default":
-        _, i, j = min((g[i], i, j) for i in range(k) for j, g in enumerate(ins) if g[i])
-        pivot, rest = ins[j], ins[:j] + ins[j + 1:]
-        x1 = max(rest, key=lambda e: e[i])
-        others = _remove_one(rest, x1)
-    else:
-        i = k - 1
-        *_, pivot, x1 = sorted(ins, key=lambda e: e[i])
-        others = _remove_one(_remove_one(ins, x1), pivot)[::-1]
+    _, i, j = min((g[i], i, j) for i in range(k) for j, g in enumerate(ins) if g[i])
+    pivot, rest = ins[j], ins[:j] + ins[j + 1:]
+    x1 = max(rest, key=lambda e: e[i])
+    others = _remove_one(rest, x1)
     return i, tuple(x - (j == i) for j, x in enumerate(pivot)), x1, others
 
 
@@ -422,7 +417,7 @@ def _mono_cup(a: Mono, b: Mono, n: int):
     return None if any(x >= n for x in e) else e
 
 
-def gw_invariant(space: ProductSpace, insertions, d, store: MemoStore, policy: str = "default") -> Fraction:
+def gw_invariant(space: ProductSpace, insertions, d, store: MemoStore) -> Fraction:
     """Genus-zero primary invariant of (P^{n-1})^k with basis-monomial insertions.
 
     insertions are exponent tuples (since version 0.10.0; a PClass goes
@@ -443,10 +438,10 @@ def gw_invariant(space: ProductSpace, insertions, d, store: MemoStore, policy: s
                          f"nonnegative entries, got d={d}, marks={monos}")
     if any(max(e) >= space.n for e in monos):
         return Fraction(0)
-    return Fraction(_gw(space, tuple(monos), d, store, policy))
+    return Fraction(_gw(space, tuple(monos), d, store))
 
 
-def _gw(space, ins, d, store, policy) -> int:
+def _gw(space, ins, d, store) -> int:
     if min(d) < 0:
         return 0
     if len(ins) < 3:
@@ -468,13 +463,13 @@ def _gw(space, ins, d, store, policy) -> int:
     if any(sum(e) == 0 for e in ins):
         value = 0  # fundamental-class axiom; here d != 0, since m >= 4
     elif len(d) > 1 and len(ins) < 6:
-        value = _kunneth(space, ins, d, store, policy)  # 4 or 5 marks, k' >= 2
+        value = _kunneth(space, ins, d, store)  # 4 or 5 marks, k' >= 2
     else:
         div = next((e for e in ins if sum(e) == 1), None)
         if div is not None:
-            value = d[div.index(1)] * _gw(space, _remove_one(ins, div), d, store, policy)
+            value = d[div.index(1)] * _gw(space, _remove_one(ins, div), d, store)
         else:
-            value = _wdvv_step(space, ins, d, store, policy)
+            value = _wdvv_step(space, ins, d, store)
 
     if value.denominator != 1:
         raise ArithmeticError(f"non-integral invariant {value} for {key}")
@@ -531,7 +526,7 @@ _GRAM5_INVERSE = (
 )
 
 
-def _kunneth(space, ins, d, store, policy) -> int:
+def _kunneth(space, ins, d, store) -> int:
     """<ins>_d for 4 or 5 marks on (P^{n-1})^k, k >= 2, every d_i > 0 and no
     fundamental-class mark, by the product formula on M-bar_{0,m} (see the
     module docstring); the k = 1 invariants it needs are read through _gw."""
@@ -539,7 +534,7 @@ def _kunneth(space, ins, d, store, policy) -> int:
     line = ProductSpace(1, n)
 
     def read(marks, e):
-        return _gw(line, tuple(sorted([(x,) for x in marks], reverse=True)), (e,), store, policy)
+        return _gw(line, tuple(sorted([(x,) for x in marks], reverse=True)), (e,), store)
 
     # the factors with ex_i > 0; the class of every other factor is 1
     raised = [(col, di) for col, di in zip(zip(*ins), d) if sum(col) > n - 1 + n * di]
@@ -564,9 +559,9 @@ def _boundary_degrees(n: int, col, d: int, read) -> list:
     return degrees
 
 
-def _wdvv_step(space, ins, d, store, policy) -> int:
+def _wdvv_step(space, ins, d, store) -> int:
     n = space.n
-    i, gprime, x1, others = _factoring(ins, policy)
+    i, gprime, x1, others = _factoring(ins)
     x2, back = others[0], others[1:]
     h_i = _unit_vec(space.k, i)
 
@@ -574,19 +569,19 @@ def _wdvv_step(space, ins, d, store, policy) -> int:
 
     hop = _mono_cup(h_i, x1, n)
     if hop is not None:
-        total += _gw(space, tuple(sorted((*others, hop, gprime), reverse=True)), d, store, policy)
+        total += _gw(space, tuple(sorted((*others, hop, gprime), reverse=True)), d, store)
 
     a_cup = _mono_cup(gprime, x2, n)
     if a_cup is not None:
         new_ins = tuple(sorted(back + (x1, a_cup), reverse=True))
-        total += d[i] * _gw(space, new_ins, d, store, policy)
+        total += d[i] * _gw(space, new_ins, d, store)
     c_cup = _mono_cup(x1, x2, n)
     if c_cup is not None:
         new_ins = tuple(sorted(back + (gprime, c_cup), reverse=True))
-        total -= d[i] * _gw(space, new_ins, d, store, policy)
+        total -= d[i] * _gw(space, new_ins, d, store)
 
     def value(marks, e):
-        return _gw(space, tuple(sorted(marks, reverse=True)), e, store, policy)
+        return _gw(space, tuple(sorted(marks, reverse=True)), e, store)
 
     # P(u, v | x, y): the contraction over proper splittings only
     proper = [(e, f) for e, f in space.splittings(d) if any(e) and any(f)]
@@ -831,7 +826,7 @@ def gw_of_classes(space: ProductSpace, classes, d: tuple, store: MemoStore):
                 if max(z, default=0) < n:
                     sparse.add_term(out, (tuple(sorted((*ps, p), reverse=True)), z), a * c)
         acc = out
-    return sum([a * _gw(sub, ps, d_pos, store, "default") for (ps, z), a in acc.items() if z == top])
+    return sum([a * _gw(sub, ps, d_pos, store) for (ps, z), a in acc.items() if z == top])
 
 
 def _coefficient(polys, target):
@@ -892,7 +887,7 @@ def check_wdvv(space: ProductSpace, d_total_max: int, n_marks_max: int, store: M
     """
 
     def value_on(sp):
-        return lambda marks, d: _gw(sp, tuple(sorted(marks, reverse=True)), d, store, "default")
+        return lambda marks, d: _gw(sp, tuple(sorted(marks, reverse=True)), d, store)
 
     on_space = wdvv_sides(space, value_on(space))
     # |P| -> wdvv_sides on (P^{n-1})^|P|; projection -> its sides

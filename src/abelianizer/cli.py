@@ -16,8 +16,8 @@ import sys
 import time
 from fractions import Fraction
 
-from .partitions import BoxSpec, Partition, multidegree_text, parse_partition
-from .cohomology import ProductSpace
+from .partitions import BoxSpec, Partition, complement, multidegree_text, parse_partition
+from .cohomology import ProductSpace, cup, lift, martin_integral
 from .abelian_gw import CacheFormatError, MemoStore, admissible_tuples, check_wdvv, gw_invariant
 from .correspondence import (
     AssembledInvariants,
@@ -99,9 +99,6 @@ def _jsonable(x):
 # details); run_suites names, times and files its report.
 
 def _suite_martin(cfg: RunConfig, store: MemoStore):
-    from .cohomology import cup, lift, martin_integral
-    from .partitions import complement
-
     box = cfg.box()
     violations, count = [], 0
     for lam in box.basis:
@@ -212,10 +209,12 @@ BOX_SUITES = frozenset(SUITES) - {"wdvv-abelian"}
 
 def run_suites(cfg: RunConfig, store: MemoStore) -> list[Report]:
     names = list(SUITES) if "all" in cfg.suites else [s for s in SUITES if s in cfg.suites]
-    reports = []
+    # every suite is checked before any runs, so a rejected run costs nothing
     for name in names:
         if name in BOX_SUITES and not cfg.k < cfg.n:
             raise ValueError(f"suite {name!r} needs a Grassmannian target (k < n)")
+    reports = []
+    for name in names:
         t0 = time.time()
         instances, violations, *details = SUITE_RUNNERS[name](cfg, store)
         reports.append(Report(name, instances, violations, time.time() - t0, store.stats(), *details))

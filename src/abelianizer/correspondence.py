@@ -83,7 +83,7 @@ def LiftedTimesOmega(lam) -> Insertion:
 OMEGA = LiftedTimesOmega(Partition())
 
 
-def i_bracket(insertions, d: int, box: BoxSpec, store: MemoStore, eps_off: bool = False) -> Fraction:
+def i_bracket(insertions, d: int, box: BoxSpec, store: MemoStore) -> Fraction:
     """The signed lifted bracket I_{n,d} over all multidegree lifts of d.
 
     Each omega insertion enters as Delta, and the bracket is multiplied
@@ -94,11 +94,10 @@ def i_bracket(insertions, d: int, box: BoxSpec, store: MemoStore, eps_off: bool 
     lift in one S_k orbit gives the same value (Martin, math/0001002): the
     sum takes one lift per orbit, the non-increasing one, times the orbit
     size, the multinomial k! / prod_j m_j! over the multiplicities m_j of
-    its entries.  eps_off drops the (-1)^((k-1)d) prefactor: the negative
-    control for sign tests.
+    its entries.
     """
     ins = tuple(sorted(insertions))
-    key = (box, ins, d, eps_off)
+    key = (box, ins, d)
     value = store.brackets.get(key)
     if value is not None:
         return value
@@ -118,8 +117,7 @@ def i_bracket(insertions, d: int, box: BoxSpec, store: MemoStore, eps_off: bool 
             raise ArithmeticError(f"parity violation: odd-omega bracket {ins} at d={d} is {total}")
         value = Fraction(0)
     else:
-        sign = 1 if eps_off else (-1) ** epsilon(d, box.k)
-        value = sign * c_squared(box.k) ** (omegas // 2) * total
+        value = (-1) ** epsilon(d, box.k) * c_squared(box.k) ** (omegas // 2) * total
     store.brackets[key] = value
     return value
 
@@ -214,14 +212,13 @@ def bracket_degree(insertions, box: BoxSpec):
     return degree_of(sum(codim(i, box.k) for i in insertions), len(insertions), box)
 
 
-def evaluate_formula(tree: FormulaTree, partitions, d: int, box: BoxSpec,
-                     store: MemoStore, eps_off: bool = False) -> Fraction:
+def evaluate_formula(tree: FormulaTree, partitions, d: int, box: BoxSpec, store: MemoStore) -> Fraction:
     """Evaluate the corrected l-point Grassmannian invariant at degree d.
 
     Each group is contracted from the leaves up: a bracket at its parent's index
     is summed over its children's indices at its one degree (degree_of) alone.
     A child's table, the child contracted at each index, depends only on the
-    box, eps_off and what the child holds: the multiset of its realized
+    box and what the child holds: the multiset of its realized
     insertions and, recursively, of its children's.  Keyed so, it is kept on
     the store (MemoStore.tables) and shared by every call that meets it.  A
     tuple that breaks the dimension rule (virtual_dim) is 0 before any bracket
@@ -247,7 +244,7 @@ def evaluate_formula(tree: FormulaTree, partitions, d: int, box: BoxSpec,
         # at a) for each a where that is nonzero)
         fixed, children = split(child)
         key = (tuple(sorted(fixed)), tuple(sorted(sub for sub, _ in children)))
-        rows = store.tables.get((box, key, eps_off))
+        rows = store.tables.get((box, key))
         if rows is None:
             rows = []
             for a in box.basis:
@@ -255,7 +252,7 @@ def evaluate_formula(tree: FormulaTree, partitions, d: int, box: BoxSpec,
                     dual = Lifted(box.dual(a))
                     rows.append((dual, codim(dual, box.k), w))
             # stored whole, so a call that raises leaves no partial table
-            rows = store.tables[box, key, eps_off] = tuple(rows)
+            rows = store.tables[box, key] = tuple(rows)
         return key, rows
 
     def contract(fixed, children) -> Fraction:
@@ -265,7 +262,7 @@ def evaluate_formula(tree: FormulaTree, partitions, d: int, box: BoxSpec,
             e = degree_of(base + sum(c for _, c, _ in choice), m, box)
             if e is not None:
                 ins = fixed + [dual for dual, _, _ in choice]
-                value += math.prod((w for _, _, w in choice), start=i_bracket(ins, e, box, store, eps_off))
+                value += math.prod((w for _, _, w in choice), start=i_bracket(ins, e, box, store))
         return value
 
     return sum((sign * contract(*split(root)) for sign, root in tree.groups), Fraction(0))
@@ -448,17 +445,11 @@ class AssembledInvariants:
     """Grassmannian invariants of all arities built from the correction
     formulas, cached by (the sorted basis positions of the insertions,
     degree).
-
-    corrupt_epsilon flips the lift-parity sign on the 4-point family only.
-    A global sign flip is the substitution Q -> -Q and leaves associativity
-    intact, so the negative control must break the sign on a single arity
-    to have teeth.
     """
 
-    def __init__(self, box: BoxSpec, store: MemoStore, corrupt_epsilon: bool = False):
+    def __init__(self, box: BoxSpec, store: MemoStore):
         self.box = box
         self.store = store
-        self.corrupt_epsilon = corrupt_epsilon
         self.cache: dict = {}
 
     def value(self, partitions, d: int) -> int:
@@ -481,14 +472,11 @@ class AssembledInvariants:
             if exact.denominator != 1:
                 raise ArithmeticError(f"non-integral invariant {exact} for {parts} at d={d}")
             val = exact.numerator
-            if self.corrupt_epsilon and m == 4 and d % 2:
-                val = -val
         self.cache[key] = val
         return val
 
 
-def assemble_and_check_wdvv(box: BoxSpec, d_max: int, l_max: int, store: MemoStore,
-                            corrupt_epsilon: bool = False) -> list[dict]:
+def assemble_and_check_wdvv(box: BoxSpec, d_max: int, l_max: int, store: MemoStore) -> list[dict]:
     """Associativity constraints for the assembled Grassmannian invariants,
     for all quadruples of Schubert classes, backgrounds and degrees with at
     most l_max marks and degree at most d_max.  Returns the violations, as
@@ -497,7 +485,7 @@ def assemble_and_check_wdvv(box: BoxSpec, d_max: int, l_max: int, store: MemoSto
     The factors of an identity have at most l_max - 1 marks (see
     wdvv_identities), so no l_max-point invariant is tested here.
     """
-    inv = AssembledInvariants(box, store, corrupt_epsilon)
+    inv = AssembledInvariants(box, store)
     drawn = 0
 
     def identities():

@@ -109,7 +109,7 @@ def test_three_point_closed_form_matches_quantum_ring(space):
         a, b, c = (mono(space, e) for e in triple)
         for d in space.curve_classes(3):
             want = three_point(a, b, c, d)
-            assert _gw(space, tuple(sorted(triple, reverse=True)), d, store, "default") == want, \
+            assert _gw(space, tuple(sorted(triple, reverse=True)), d, store) == want, \
                 (triple, d)
             nonzero += want != 0
     assert nonzero >= len(space.basis), nonzero
@@ -237,8 +237,30 @@ def test_divisor_axiom_self_consistency(store):
     assert whole == 1 * gw_invariant(PP, rest, (1, 2), store)
 
 
+def _alt_factoring(ins):
+    # a second WDVV pivot rule for the engine's _factoring: on the last
+    # factor the largest mark as x1, the second-largest as pivot, and others
+    # reversed; it too gives x1_i >= (H_i g')_i > 0
+    i = len(ins[0]) - 1
+    *_, pivot, x1 = sorted(ins, key=lambda e: e[i])
+    others = abelian_gw._remove_one(abelian_gw._remove_one(ins, x1), pivot)[::-1]
+    return i, tuple(x - (j == i) for j, x in enumerate(pivot)), x1, others
+
+
+# the engine's pivot rule and the second one, by name
+PIVOT_RULES = {"default": abelian_gw._factoring, "alt": _alt_factoring}
+
+
+def gw_invariant_alt(space, insertions, d, store):
+    # gw_invariant with the second pivot rule installed for this call only;
+    # a context, not the monkeypatch fixture, so hypothesis tests can use it
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(abelian_gw, "_factoring", _alt_factoring)
+        return gw_invariant(space, insertions, d, store)
+
+
 def test_pivot_policy_independence():
-    # the known value from either WDVV pivot policy, fresh caches: agreement
+    # the known value from either WDVV pivot rule, fresh caches: agreement
     # alone passes an engine that drops a reconstruction term under both
     cases = [
         (PP, [(1, 1)] * 5, (1, 2), 1),
@@ -248,15 +270,15 @@ def test_pivot_policy_independence():
         (P3, [(2,)] * 4, (1,), 2),        # lines meeting 4 lines in P^3
     ]
     for space, ins, d, expected in cases:
-        v_default = gw_invariant(space, ins, d, MemoStore(), policy="default")
-        v_alt = gw_invariant(space, ins, d, MemoStore(), policy="alt")
+        v_default = gw_invariant(space, ins, d, MemoStore())
+        v_alt = gw_invariant_alt(space, ins, d, MemoStore())
         assert v_default == v_alt == expected, (space, ins, d)
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_pivot_policy_independence_random(data):
-    # dimension-admissible instances drawn at random must agree across policies
+    # dimension-admissible instances drawn at random must agree across pivot rules
     space = data.draw(st.sampled_from([PP, P2]))
     d = tuple(data.draw(st.integers(0, 2)) for _ in range(space.k))
     m = data.draw(st.integers(4, 6))
@@ -268,10 +290,10 @@ def test_pivot_policy_independence_random(data):
         return
     ins = data.draw(st.permutations(data.draw(st.sampled_from(admissible))))
     store = MemoStore()
-    v1 = gw_invariant(space, ins, d, store, policy="default")
-    v2 = gw_invariant(space, ins, d, MemoStore(), policy="alt")
+    v1 = gw_invariant(space, ins, d, store)
+    v2 = gw_invariant_alt(space, ins, d, MemoStore())
     assert v1 == v2
-    # both policies can drop the same reconstruction term; associativity of
+    # both rules can drop the same reconstruction term; associativity of
     # the values that gave v1 catches that: identities with m + 1 marks have
     # factors of up to m marks
     assert check_wdvv(space, sum(d), m + 1, store) == []
@@ -357,7 +379,7 @@ def reference_gw_of_classes(space, classes, d, store):
                 continue  # unstable; degree-0 two-point never contributes here
             total += coeff * two_point(space, monos[0], monos[1], d)
         else:
-            total += coeff * _gw(space, tuple(sorted(monos, reverse=True)), d, store, "default")
+            total += coeff * _gw(space, tuple(sorted(monos, reverse=True)), d, store)
     return total
 
 
@@ -417,10 +439,10 @@ def test_split_and_orbit_sum_match_full_sums(box, suites, monkeypatch):
     # all lifts
     asked = set()
 
-    def recording(insertions, d, box, store, eps_off=False):
+    def recording(insertions, d, box, store):
         if len(insertions) >= 4:
             asked.add((tuple(sorted(insertions)), d))
-        return i_bracket(insertions, d, box, store, eps_off)
+        return i_bracket(insertions, d, box, store)
 
     monkeypatch.setattr(correspondence, "i_bracket", recording)
     run_suites(RunConfig(k=box.k, n=box.n, max_degree=2, suites=suites), MemoStore())
@@ -915,7 +937,7 @@ def test_divisor_consistency_across_cache(store):
         rest = list(ins)
         rest.remove(div)
         i = div.index(1)
-        expect = d[i] * _gw(space, tuple(sorted(rest, reverse=True)), d, store, "default") if d[i] else 0
+        expect = d[i] * _gw(space, tuple(sorted(rest, reverse=True)), d, store) if d[i] else 0
         assert value == expect, (k, n, d, ins)
         checked += 1
     assert checked > 10
@@ -966,7 +988,7 @@ def test_sub_multisets_weights():
 
 def _product_value(space):
     store = MemoStore()
-    return lambda marks, d: _gw(space, tuple(sorted(marks, reverse=True)), d, store, "default")
+    return lambda marks, d: _gw(space, tuple(sorted(marks, reverse=True)), d, store)
 
 
 @pytest.mark.parametrize("space, d_max, n_marks_max, make_value", [
@@ -1178,7 +1200,7 @@ def test_identity_with_degree_zero_factor_equals_its_projection(space, d_max, n_
     store = MemoStore()
 
     def value_on(sp):
-        return lambda marks, e: _gw(sp, tuple(sorted(marks, reverse=True)), e, store, "default")
+        return lambda marks, e: _gw(sp, tuple(sorted(marks, reverse=True)), e, store)
 
     projected = at_zero = 0
     for quad, back, d in wdvv_identities(space, d_max, n_marks_max):
@@ -1273,7 +1295,7 @@ def reference_check_wdvv(space, d_max, n_marks_max, store):
     # kunneth_allows keeps, evaluated on the full product through
     # wdvv_failures
     def value(marks, d):
-        return _gw(space, tuple(sorted(marks, reverse=True)), d, store, "default")
+        return _gw(space, tuple(sorted(marks, reverse=True)), d, store)
 
     identities = list(wdvv_identities(space, d_max, n_marks_max))
     kept = ((quad, back, d) for quad, back, d in identities
@@ -1328,9 +1350,9 @@ def _counting_steps(monkeypatch):
     # product formula (_kunneth)}
     steps = Counter()
     for name in ("_wdvv_step", "_kunneth"):
-        def counting(sp, ins, d, store, policy, route=getattr(abelian_gw, name)):
+        def counting(sp, ins, d, store, route=getattr(abelian_gw, name)):
             steps[(d, ins)] += 1
-            return route(sp, ins, d, store, policy)
+            return route(sp, ins, d, store)
 
         monkeypatch.setattr(abelian_gw, name, counting)
     return steps
@@ -1364,35 +1386,37 @@ def test_trivial_identity_steps_each_key_once(monkeypatch, marks, d, value):
     # pivot order raises the sum of squared exponents at every hop, so no
     # key in progress is computed a second time
     steps = _counting_steps(monkeypatch)
-    for policy in ("default", "alt"):
+    for rule, factoring in PIVOT_RULES.items():
+        monkeypatch.setattr(abelian_gw, "_factoring", factoring)
         steps.clear()
         st = MemoStore()
-        assert gw_invariant(ProductSpace(1, 5), marks, d, st, policy) == value
-        assert max(steps.values()) == 1 and st.misses == len(st), (policy, st.stats())
+        assert gw_invariant(ProductSpace(1, 5), marks, d, st) == value
+        assert max(steps.values()) == 1 and st.misses == len(st), (rule, st.stats())
 
 
 @pytest.mark.parametrize("n", [7, 8], ids=["P6", "P7"])
 def test_no_key_computed_twice_on_large_projective_spaces(monkeypatch, n):
     # every 4- and 5-mark tuple of marks of codimension >= 2 at d <= 2: the
-    # pivot order cannot cycle, so under either policy each key takes one
+    # pivot order cannot cycle, so under either pivot rule each key takes one
     # WDVV step and one miss
     space = ProductSpace(1, n)
     tuples = [(combo, d) for m in (4, 5) for combo, d in admissible_tuples(space, m, 2)
               if min(map(sum, combo)) >= 2]
     steps = _counting_steps(monkeypatch)
-    for policy in ("default", "alt"):
+    for rule, factoring in PIVOT_RULES.items():
+        monkeypatch.setattr(abelian_gw, "_factoring", factoring)
         steps.clear()
         st = MemoStore()
         for combo, d in tuples:
-            gw_invariant(space, combo, d, st, policy)
-        assert len(steps) > 20 and max(steps.values()) == 1, policy
-        assert st.misses == len(st), (policy, st.stats())
+            gw_invariant(space, combo, d, st)
+        assert len(steps) > 20 and max(steps.values()) == 1, rule
+        assert st.misses == len(st), (rule, st.stats())
 
 
 @pytest.mark.parametrize("space, d_max, m_max, reconstructed, differ", [
     (ProductSpace(1, 5), 3, 6, 13, 12),
     # 4- and 5-mark keys of (P^2)^2 take the product formula under either
-    # policy, so only the P^2 keys they read and the 6-mark steps differ
+    # pivot rule, so only the P^2 keys they read and the 6-mark steps differ
     (ProductSpace(2, 3), 2, 6, 69, 22),
 ], ids=["P4", "(P2)^2"])
 def test_alt_policy_takes_another_route(space, d_max, m_max, reconstructed, differ):
@@ -1405,7 +1429,7 @@ def test_alt_policy_takes_another_route(space, d_max, m_max, reconstructed, diff
             if min(map(sum, combo)) < 2:
                 continue
             default, alt = MemoStore(), MemoStore()
-            assert gw_invariant(space, combo, d, default) == gw_invariant(space, combo, d, alt, "alt")
+            assert gw_invariant(space, combo, d, default) == gw_invariant_alt(space, combo, d, alt)
             if default.data or alt.data:
                 seen += 1
                 apart += default.data.keys() != alt.data.keys()
@@ -1453,8 +1477,8 @@ def test_kunneth_route_matches_wdvv_step(space, d_max):
             cols = list(zip(*ins))
             ex = [sum(col) - (n - 1) - n * di for col, di in zip(cols, d)]
             assert all(_point_number(n, col, di) == 1 for col, di, x in zip(cols, d, ex) if not x), (ins, d)
-            got = abelian_gw._kunneth(space, ins, d, store, "default")
-            assert got == abelian_gw._wdvv_step(space, ins, d, store, "default"), (ins, d)
+            got = abelian_gw._kunneth(space, ins, d, store)
+            assert got == abelian_gw._wdvv_step(space, ins, d, store), (ins, d)
             shapes[m, max(ex), got != 0] += 1
     # m = 4, and both m = 5 shapes: one factor at ex = 2, or two at ex = 1
     assert {shape for shape in shapes if shape[2]} == {(4, 1, True), (5, 2, True), (5, 1, True)}

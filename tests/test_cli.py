@@ -122,6 +122,16 @@ def test_verify_box_suite_needs_grassmannian():
     assert exc.value.code == 2
 
 
+def test_box_suite_rejected_before_any_suite_runs():
+    # wdvv-abelian runs on (P^2)^3, but j-i needs k < n: the run is refused
+    # before wdvv-abelian spends its time or touches the store
+    store = MemoStore()
+    cfg = RunConfig(k=3, n=3, max_degree=1, suites=("wdvv-abelian", "j-i"))
+    with pytest.raises(ValueError, match="suite 'j-i' needs a Grassmannian target"):
+        run_suites(cfg, store)
+    assert store.stats() == {"entries": 0, "hits": 0, "misses": 0}
+
+
 def test_verify_abelian_suite_allows_self_product(capsys):
     code = run_cli(["verify", "--k", "2", "--n", "2", "--suite", "wdvv-abelian",
                     "--max-degree", "1", "--max-insertions", "4"])
