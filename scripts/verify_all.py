@@ -5,11 +5,12 @@ Usage: python scripts/verify_all.py [--deep] [--cache PATH]
 
 --deep raises the insertion bound from 5 to 6 marks (about four times as
 long).  --cache PATH loads the store from PATH when it exists and saves it
-there after the battery.  Exit status 1 when any suite reports a
-violation, 3 when the cache file cannot be read (wrong version header, a
-malformed entry, or an OSError such as a path that cannot be opened) or
-written (an OSError such as a path in a missing directory), with one
-`cache error: ...` line on stderr.
+there after the battery, through the CLI's open_store and save_store.
+Exit status 1 when any suite reports a violation, 3 when the cache file
+cannot be read (wrong version header, a malformed entry, or an OSError
+such as a path that cannot be opened) or written (an OSError such as a
+path in a missing directory), with one `cache error: ...` line on stderr,
+as the CLI commands do.
 """
 
 import argparse
@@ -18,8 +19,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from abelianizer.abelian_gw import CacheFormatError, MemoStore
-from abelianizer.cli import RunConfig, run_suites
+from abelianizer.cli import CommandError, RunConfig, open_store, run_suites, save_store
 
 
 def main():
@@ -38,18 +38,11 @@ def main():
                     suites=("four-point-divisor", "five-point-symmetry", "wdvv-grass"))
           for k in (3, 2)),
     ]
-    store = MemoStore()
-    if args.cache:
-        try:
-            store.load(args.cache)
-        except FileNotFoundError:
-            pass
-        except CacheFormatError as exc:
-            print(f"cache error: {exc}", file=sys.stderr)
-            return 3
-        except OSError as exc:
-            print(f"cache error: cannot read {args.cache}: {exc.strerror}", file=sys.stderr)
-            return 3
+    try:
+        store = open_store(args.cache)
+    except CommandError as exc:
+        print(exc, file=sys.stderr)
+        return exc.code
 
     print(f"{'target':<10} {'suite':<22} {'instances':>9} {'pass':>5} {'time':>8}")
     ok = True
@@ -58,15 +51,11 @@ def main():
             ok = ok and rep.passed
             print(f"Gr({cfg.k},{cfg.n})   {rep.suite:<22} {rep.instances:>9} "
                   f"{str(rep.passed):>5} {rep.wall_time:>7.2f}s")
-    if args.cache:
-        try:
-            store.save(args.cache)
-        except CacheFormatError as exc:
-            print(f"cache error: {exc}", file=sys.stderr)
-            return 3
-        except OSError as exc:
-            print(f"cache error: cannot write {args.cache}: {exc.strerror}", file=sys.stderr)
-            return 3
+    try:
+        save_store(args.cache, store)
+    except CommandError as exc:
+        print(exc, file=sys.stderr)
+        return exc.code
     print("cache:", store.stats())
     return 0 if ok else 1
 

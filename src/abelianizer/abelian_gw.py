@@ -272,9 +272,11 @@ class MemoStore:
         path that is a directory or a file that is not UTF-8 text, on a
         malformed entry (a key number other than ASCII digits, a value other
         than -?[0-9]+/[0-9]+, k < 1, n < 2, a multidegree or a mark of other
-        than k entries, an exponent >= n, fewer than 3 marks), on a
-        non-integral value, and on an entry that contradicts the product
-        formula, another entry or this store; the store is then unchanged.
+        than k entries, an exponent >= n, fewer than 3 marks, or, on a key
+        kept as it stands, marks not in the descending order of every
+        computed key), on a non-integral value, and on an entry that
+        contradicts the product formula, another entry or this store; the
+        store is then unchanged.
         """
         try:
             with open(path) as fh:
@@ -317,6 +319,9 @@ class MemoStore:
             if 0 in d:
                 d, ins = _positive_part(d, ins)
                 key, dropped = (len(d), n, d, ins), True
+            elif ins != tuple(sorted(ins, reverse=True)):
+                # kept as it stands, it would be a second key of one invariant
+                raise CacheFormatError(f"{path}:{lineno}: malformed entry {line!r}")
             old = entries.setdefault(key, value)
             # one value per value text, so a repeat is the same object
             if old is not value and old != value:
@@ -580,15 +585,19 @@ def _wdvv_step(space, ins, d, store) -> int:
         new_ins = tuple(sorted(back + (gprime, c_cup), reverse=True))
         total -= d[i] * _gw(space, new_ins, d, store)
 
-    def value(marks, e):
-        return _gw(space, tuple(sorted(marks, reverse=True)), e, store)
-
+    value = _reader(space, store)
     # P(u, v | x, y): the contraction over proper splittings only
     proper = [(e, f) for e, f in space.splittings(d) if any(e) and any(f)]
     subs, halves = sub_multisets(back), {}
     total += wdvv_contraction(space, h_i, x1, gprime, x2, subs, proper, value, halves)
     total -= wdvv_contraction(space, h_i, gprime, x1, x2, subs, proper, value, halves)
     return total
+
+
+def _reader(space, store):
+    """The value(marks, d) that a WDVV contraction reads: the invariant of
+    space through _gw, with the marks sorted into the order of its keys."""
+    return lambda marks, d: _gw(space, tuple(sorted(marks, reverse=True)), d, store)
 
 
 def _unit_vec(k: int, i: int) -> Mono:
@@ -885,11 +894,7 @@ def check_wdvv(space: ProductSpace, d_total_max: int, n_marks_max: int, store: M
     are computed once per check.  The other identities are evaluated on
     space itself.
     """
-
-    def value_on(sp):
-        return lambda marks, d: _gw(sp, tuple(sorted(marks, reverse=True)), d, store)
-
-    on_space = wdvv_sides(space, value_on(space))
+    on_space = wdvv_sides(space, _reader(space, store))
     # |P| -> wdvv_sides on (P^{n-1})^|P|; projection -> its sides
     on_factors, projected = {}, {}
 
@@ -906,7 +911,7 @@ def check_wdvv(space: ProductSpace, d_total_max: int, n_marks_max: int, store: M
             size = len(key[2])
             if size not in on_factors:
                 sub = ProductSpace(size, space.n)
-                on_factors[size] = wdvv_sides(sub, value_on(sub))
+                on_factors[size] = wdvv_sides(sub, _reader(sub, store))
             got = projected[key] = on_factors[size](*key)
         return got
 

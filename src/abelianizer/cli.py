@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 violations found, 2 usage error (an --out path
 that cannot be written too), 3 cache error (wrong version header, a
 malformed entry, or a cache path that cannot be read or written).  The
-environment variable ABELIANIZER_CACHE overrides --cache.
+cache file is the --cache path; open_store and save_store, which
+scripts/verify_all.py also calls, map its errors to exit code 3.
 """
 
 from __future__ import annotations
@@ -232,26 +233,28 @@ class CommandError(Exception):
         self.code = code
 
 
-def _resolve_cache(args) -> str:
-    return os.environ.get("ABELIANIZER_CACHE") or getattr(args, "cache", None)
-
-
-def _open_store(args) -> MemoStore:
-    path = _resolve_cache(args)
+def open_store(path) -> MemoStore:
+    """A store with the entries of the cache file at path, when path is
+    given and exists; CommandError with code 3 when it cannot be read."""
     store = MemoStore()
     if path and os.path.exists(path):
         try:
             store.load(path)
+        except CacheFormatError as exc:
+            raise CommandError(f"cache error: {exc}", 3) from None
         except OSError as exc:
             raise CommandError(f"cache error: cannot read {path}: {exc.strerror}", 3) from None
     return store
 
 
-def _save_store(args, store: MemoStore) -> None:
-    path = _resolve_cache(args)
+def save_store(path, store: MemoStore) -> None:
+    """Save store to the cache file at path, when path is given;
+    CommandError with code 3 when it cannot be written."""
     if path:
         try:
             store.save(path)
+        except CacheFormatError as exc:
+            raise CommandError(f"cache error: {exc}", 3) from None
         except OSError as exc:
             raise CommandError(f"cache error: cannot write {path}: {exc.strerror}", 3) from None
 
@@ -281,7 +284,7 @@ def cmd_invariant(args, parser) -> int:
             parser.error(f"partition {p} does not fit the {box.k}x{box.cols} box")
     if args.d < 0:
         parser.error("degree must be nonnegative")
-    store = _open_store(args)
+    store = open_store(args.cache)
     inv = AssembledInvariants(box, store)
     # computed in int, handed out as Fractions
     value = Fraction(inv.value(parts, args.d))
@@ -293,7 +296,7 @@ def cmd_invariant(args, parser) -> int:
         "value": _jsonable(value), "oracle": _jsonable(oracle),
     }
     print(json.dumps(record, sort_keys=True))
-    _save_store(args, store)
+    save_store(args.cache, store)
     return 0 if oracle is None or oracle == value else 1
 
 
@@ -305,7 +308,7 @@ def cmd_verify(args, parser) -> int:
         )
     except ValueError as exc:
         parser.error(str(exc))
-    store = _open_store(args)
+    store = open_store(args.cache)
     try:
         reports = run_suites(cfg, store)
     except ValueError as exc:
@@ -319,7 +322,7 @@ def cmd_verify(args, parser) -> int:
             lines.append(f"| {r.suite} | {r.instances} | {r.passed} | {r.wall_time:.2f} |")
         out = "\n".join(lines)
     _emit(args, out)
-    _save_store(args, store)
+    save_store(args.cache, store)
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -348,7 +351,7 @@ def cmd_table(args, parser) -> int:
             cfg.box()
     except ValueError as exc:
         parser.error(str(exc))
-    store = _open_store(args)
+    store = open_store(args.cache)
     rows = list(_grass_rows(cfg, store) if args.side == "grass" else _abelian_rows(cfg, store))
     rows.sort(key=lambda r: (str(r[0]), r[1]))
     if args.format == "csv":
@@ -361,7 +364,7 @@ def cmd_table(args, parser) -> int:
         lines = [json.dumps([{"degree": _jsonable(d), "insertions": i, "value": _jsonable(v)}
                              for d, i, v in rows], indent=1, sort_keys=True)]
     _emit(args, "\n".join(lines))
-    _save_store(args, store)
+    save_store(args.cache, store)
     return 0
 
 
@@ -375,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, formats=None):
         p.add_argument("--k", type=int, required=True)
         p.add_argument("--n", type=int, required=True)
-        p.add_argument("--cache", default=None, help="cache file (env ABELIANIZER_CACHE overrides)")
+        p.add_argument("--cache", default=None, help="cache file")
         if formats:
             p.add_argument("--format", choices=formats, default="json")
             p.add_argument("--out", default=None, help="write output to a file")
@@ -416,9 +419,6 @@ def main(argv=None) -> int:
             return cmd_verify(args, parser)
         if args.command == "table":
             return cmd_table(args, parser)
-    except CacheFormatError as exc:
-        print(f"cache error: {exc}", file=sys.stderr)
-        return 3
     except CommandError as exc:
         print(exc, file=sys.stderr)
         return exc.code

@@ -310,7 +310,7 @@ def formula_to_json(tree: FormulaTree) -> str:
 # ---------------------------------------------------------------------------
 # verification reports
 
-def check_two_point(box: BoxSpec, d_max: int, store: MemoStore) -> list[dict]:
+def check_two_point(box: BoxSpec, d_max: int, store: MemoStore) -> Violations:
     """Compare Grassmannian 2-point invariants with the lifted bracket of the
     two omega-twisted insertions, all box pairs, 1 <= d <= d_max.  Returns
     the violations, as Violations counting the (pair, d) compared."""
@@ -374,7 +374,7 @@ def naive_vs_corrected(box: BoxSpec, d_max: int, store: MemoStore) -> dict:
     }
 
 
-def check_omega_triviality(box: BoxSpec) -> list[dict]:
+def check_omega_triviality(box: BoxSpec) -> Violations:
     """Triviality of the specialized small quantum product with omega.
 
     (i) omega * lift(lam) has no Novikov corrections after specialization;
@@ -476,7 +476,7 @@ class AssembledInvariants:
         return val
 
 
-def assemble_and_check_wdvv(box: BoxSpec, d_max: int, l_max: int, store: MemoStore) -> list[dict]:
+def assemble_and_check_wdvv(box: BoxSpec, d_max: int, l_max: int, store: MemoStore) -> Violations:
     """Associativity constraints for the assembled Grassmannian invariants,
     for all quadruples of Schubert classes, backgrounds and degrees with at
     most l_max marks and degree at most d_max.  Returns the violations, as

@@ -17,7 +17,6 @@ from types import MappingProxyType
 from .partitions import (
     BoxSpec,
     Partition,
-    RIM_HOOK_SIGN_RULES,
     complement,
     rim_hook_reduce,
     schur_polynomial,
@@ -49,16 +48,15 @@ def schur_expand_product(lam: Partition, mu: Partition, k: int) -> dict[Partitio
 
 
 @cache
-def quantum_cup(lam: Partition, mu: Partition, box: BoxSpec, rule: str = None) -> MappingProxyType:
+def quantum_cup(lam: Partition, mu: Partition, box: BoxSpec) -> MappingProxyType:
     """Small quantum product sigma_lam * sigma_mu via rim-hook reduction, as
-    {(q power, partition): int}; rule is rim_hook_reduce's per-hook sign
-    rule.  Computed once per argument tuple and shared read-only, like
-    schur_polynomial."""
+    {(q power, partition): int}.  Computed once per argument tuple and
+    shared read-only, like schur_polynomial."""
     if not (lam.fits(box) and mu.fits(box)):
         raise ValueError("partitions must fit the box")
     terms: dict[tuple, int] = {}
     for nu, c in schur_expand_product(lam, mu, box.k).items():
-        sign, q_power, reduced = rim_hook_reduce(nu, box, rule=rule)
+        sign, q_power, reduced = rim_hook_reduce(nu, box)
         if reduced is None:
             continue
         add_term(terms, (q_power, reduced), sign * c)
@@ -79,28 +77,6 @@ def two_point(lam: Partition, mu: Partition, d: int, box: BoxSpec) -> Fraction:
     if d < 1:
         raise ValueError("2-point invariants need d >= 1")
     return three_point(SIGMA_1, lam, mu, d, box) / d
-
-
-def calibrate_rim_hook_sign(d_max: int = 2) -> dict[str, bool]:
-    """Nonnegativity calibration of the per-hook sign rule.
-
-    Returns, for each candidate rule, whether every 3-point structure
-    constant of Gr(2,4) and Gr(2,5) up to degree d_max is nonnegative.
-    Exactly one candidate must survive.
-    """
-    verdict = {}
-    for rule in RIM_HOOK_SIGN_RULES:
-        ok = True
-        for box in (BoxSpec(2, 4), BoxSpec(2, 5)):
-            for lam, mu in itertools.combinations_with_replacement(box.basis, 2):
-                terms = quantum_cup(lam, mu, box, rule)
-                if any(v < 0 for (q, _), v in terms.items() if q <= d_max):
-                    ok = False
-                    break
-            if not ok:
-                break
-        verdict[rule] = ok
-    return verdict
 
 
 # ---------------------------------------------------------------------------
@@ -137,10 +113,10 @@ class FundamentalSolution:
     A_d and the R_d at z = 1 are sparse matrices {(row, col): c}.
     """
 
-    def __init__(self, basis: tuple, degrees: tuple, n: int, D: dict, A: dict, R: dict | None = None):
+    def __init__(self, basis: tuple, degrees: tuple, n: int, D: dict, A: dict):
         self.basis, self.degrees, self.n = basis, degrees, n
         self.D, self.A = D, A
-        self.R = {} if R is None else R
+        self.R = {}
 
     def graded(self, d: int) -> dict:
         """R_d at z = 1."""

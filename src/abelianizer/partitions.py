@@ -20,14 +20,6 @@ from functools import cached_property
 from math import comb
 from types import MappingProxyType
 
-# Per-hook sign rule for quantum reduction.  "k_minus_height" is the
-# production rule; it is the unique choice out of the two classical
-# candidates for which all 3-point Grassmannian structure constants come
-# out nonnegative (see grassmannian.calibrate_rim_hook_sign and the
-# calibration test).  "height_minus_one" is kept as the negative control.
-RIM_HOOK_SIGN_RULE = "k_minus_height"
-RIM_HOOK_SIGN_RULES = ("k_minus_height", "height_minus_one")
-
 
 class GradedBasis:
     """What BoxSpec and ProductSpace share.
@@ -276,15 +268,15 @@ def epsilon(d: int, k: int) -> int:
     return ((k - 1) * d) % 2
 
 
-def _hook_sign(height: int, k: int, rule: str) -> int:
-    if rule == "k_minus_height":
-        return -1 if (k - height) % 2 else 1
-    if rule == "height_minus_one":
-        return -1 if (height - 1) % 2 else 1
-    raise ValueError(f"unknown sign rule {rule!r}")
+def _hook_sign(height: int, k: int) -> int:
+    # (-1)^(k - height) per removed n-hook.  Of the two classical candidates
+    # it is the only one that leaves every 3-point structure constant of
+    # Gr(2,4) and Gr(2,5) nonnegative; (-1)^(height - 1), the other, is the
+    # negative control of the calibration test.
+    return -1 if (k - height) % 2 else 1
 
 
-def rim_hook_reduce(lam: Partition, box: BoxSpec, rule: str = None, _choose=None):
+def rim_hook_reduce(lam: Partition, box: BoxSpec, _choose=None):
     """Quantum reduction: strip rim hooks of size n until lam fits the box.
 
     Works on the shifted exponents beta_i = lam_i + k - i (the abacus
@@ -298,8 +290,6 @@ def rim_hook_reduce(lam: Partition, box: BoxSpec, rule: str = None, _choose=None
     Returns (sign, q_power, reduced) where reduced is None when no legal
     removal sequence lands in the box (the class is annihilated).
     """
-    if rule is None:
-        rule = RIM_HOOK_SIGN_RULE
     k, n = box.k, box.n
     if len(lam) > k:
         raise ValueError(f"{lam} has more than {k} parts")
@@ -313,7 +303,7 @@ def rim_hook_reduce(lam: Partition, box: BoxSpec, rule: str = None, _choose=None
             break
         b = movable[0] if _choose is None else _choose(movable)
         height = 1 + sum(1 for x in betas if b - n < x < b)
-        sign *= _hook_sign(height, k, rule)
+        sign *= _hook_sign(height, k)
         q_power += 1
         betas.remove(b)
         betas.add(b - n)

@@ -27,8 +27,8 @@ from abelianizer.correspondence import (
     mirror_map,
     naive_vs_corrected,
 )
-from abelianizer.grassmannian import calibrate_rim_hook_sign
 from abelianizer.jfunctions import i_function, solve_c_coefficients
+from conftest import calibrate_rim_hook_sign
 
 
 def P(*parts):

@@ -62,8 +62,7 @@ def test_invariant_dimension_violating_zero(capsys):
     ("table --k 2 --n 5 --max-degree 2 --max-insertions 5 --format csv",
      "8e6bea144446c1e44dd5b433750a1b452735b895d63c411b1cbb84438384cf05"),
 ], ids=["abelian-2-2", "abelian-2-3", "grass-2-4", "invariant-2-4", "grass-2-4-six", "grass-2-5-five"])
-def test_cli_output_pinned(argv, digest, capsys, monkeypatch):
-    monkeypatch.delenv("ABELIANIZER_CACHE", raising=False)
+def test_cli_output_pinned(argv, digest, capsys):
     assert run_cli(argv.split()) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
@@ -206,10 +205,9 @@ def test_cache_unreadable_path(tmp_path, capsys, kind):
     (["invariant", "--k", "2", "--n", "4", "--parts", "[1];[2,1];[2,2]", "--d", "1",
       "--cache", "{missing}/x.cache"], 3, "cache error: "),
 ], ids=["verify-out", "table-out", "invariant-cache"])
-def test_unwritable_path_exit_code(argv, code, prefix, tmp_path, capsys, monkeypatch):
+def test_unwritable_path_exit_code(argv, code, prefix, tmp_path, capsys):
     # a path in a missing directory ends with the documented exit code and
     # one line on stderr naming the path, not with a traceback
-    monkeypatch.delenv("ABELIANIZER_CACHE", raising=False)
     missing = tmp_path / "missing"
     got = run_cli([a.format(missing=missing) for a in argv])
     err = capsys.readouterr().err
@@ -219,9 +217,8 @@ def test_unwritable_path_exit_code(argv, code, prefix, tmp_path, capsys, monkeyp
 
 
 @pytest.mark.skipif(not hasattr(socket, "AF_UNIX"), reason="needs a Unix socket file")
-def test_unreadable_cache_path_exit_code(tmp_path, capsys, monkeypatch):
+def test_unreadable_cache_path_exit_code(tmp_path, capsys):
     # a socket file exists but cannot be opened: a cache error, not a traceback
-    monkeypatch.delenv("ABELIANIZER_CACHE", raising=False)
     path = tmp_path / "x.cache"
     with socket.socket(socket.AF_UNIX) as sock:
         sock.bind(str(path))
@@ -232,9 +229,8 @@ def test_unreadable_cache_path_exit_code(tmp_path, capsys, monkeypatch):
     assert err.startswith(f"cache error: cannot read {path}: ") and err.count("\n") == 1
 
 
-def test_cache_lenient_number_is_malformed(tmp_path, capsys, monkeypatch):
+def test_cache_lenient_number_is_malformed(tmp_path, capsys):
     # int() reads 1_0 as 10; the cache grammar has no underscore
-    monkeypatch.delenv("ABELIANIZER_CACHE", raising=False)
     bad = tmp_path / "bad.cache"
     text = f"{MemoStore.VERSION}\n2,4|1,0|3.0;2.3;2.0;1.0\t1_0/1\n"
     bad.write_text(text)
@@ -255,14 +251,28 @@ def test_cache_lenient_number_is_malformed(tmp_path, capsys, monkeypatch):
     "2,4|1,0|3.0",                # fewer than 3 marks
     "2,4|1,0|5.0;1.1;1.1;1.1",    # a mark entry >= n
 ])
-def test_cache_malformed_key(key, tmp_path, capsys, monkeypatch):
+def test_cache_malformed_key(key, tmp_path, capsys):
     # each line parses, but is no key of the store: it must not load and be
     # written back by the next save
-    monkeypatch.delenv("ABELIANIZER_CACHE", raising=False)
     bad = tmp_path / "bad.cache"
     text = f"{MemoStore.VERSION}\n{key}\t1/1\n"
     bad.write_text(text)
     code = run_cli(["invariant", "--k", "2", "--n", "4", "--parts", "[1];[2,1];[2,1];[2,2]",
+                    "--d", "1", "--cache", str(bad)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("cache error: ") and ":2: malformed entry" in err
+    assert bad.read_text() == text
+
+
+def test_cache_unsorted_marks_are_malformed(tmp_path, capsys):
+    # every computed key lists its marks in descending order, so a key in
+    # another order would be a second entry of one invariant of P^2, whose
+    # value no lookup reads and every save writes back
+    bad = tmp_path / "bad.cache"
+    text = f"{MemoStore.VERSION}\n1,3|1|1;2;1;2\t7/1\n1,3|1|2;2;1;1\t1/1\n"
+    bad.write_text(text)
+    code = run_cli(["invariant", "--k", "1", "--n", "3", "--parts", "[1];[1];[2];[2]",
                     "--d", "1", "--cache", str(bad)])
     err = capsys.readouterr().err
     assert code == 3
@@ -377,9 +387,8 @@ def _cached_query(cache, parts):
                     "--cache", str(cache)])
 
 
-def test_cache_query_adding_nothing_leaves_file(tmp_path, capsys, monkeypatch):
+def test_cache_query_adding_nothing_leaves_file(tmp_path, capsys):
     # a repeated query finds every entry cached: no rewrite, no temp file
-    monkeypatch.delenv("ABELIANIZER_CACHE", raising=False)
     cache = tmp_path / "warm.cache"
     assert _cached_query(cache, "[1];[2,1];[2,2];[1]") == 0
 
@@ -394,18 +403,17 @@ def test_cache_query_adding_nothing_leaves_file(tmp_path, capsys, monkeypatch):
 
 
 def test_cache_query_adding_entries_rewrites(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("ABELIANIZER_CACHE", raising=False)
     cache = tmp_path / "warm.cache"
     assert _cached_query(cache, "[1];[2,1];[2,2];[1]") == 0
     entries_before = len(MemoStore().load(cache))
     stores = []
-    open_store = cli._open_store
+    open_store = cli.open_store
 
-    def recording_open_store(args):
-        stores.append(open_store(args))
+    def recording_open_store(path):
+        stores.append(open_store(path))
         return stores[-1]
 
-    monkeypatch.setattr(cli, "_open_store", recording_open_store)
+    monkeypatch.setattr(cli, "open_store", recording_open_store)
     assert _cached_query(cache, "[1];[1];[2];[2,2];[2]") == 0
     (store,) = stores
     assert len(store) > entries_before
@@ -413,14 +421,16 @@ def test_cache_query_adding_entries_rewrites(tmp_path, capsys, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["warm.cache"]
 
 
-def test_env_var_overrides_cache(tmp_path, capsys, monkeypatch):
+def test_cache_flag_wins_over_env_var(tmp_path, capsys, monkeypatch):
+    # --cache is the one source of the cache path: an ABELIANIZER_CACHE left
+    # in the environment, which once overrode it, is not read
     env_cache = tmp_path / "env.cache"
     monkeypatch.setenv("ABELIANIZER_CACHE", str(env_cache))
     assert run_cli(["verify", "--k", "2", "--n", "4", "--suite", "two-point",
                     "--max-degree", "1", "--cache", str(tmp_path / "flag.cache")]) == 0
     capsys.readouterr()
-    assert env_cache.exists()
-    assert not (tmp_path / "flag.cache").exists()
+    assert (tmp_path / "flag.cache").exists()
+    assert not env_cache.exists()
 
 
 def test_table_deterministic_markdown(tmp_path):
@@ -490,12 +500,10 @@ def test_correction_demo_script_runs():
 
 def test_exit_code_contract_subprocess():
     # the spawned binary honors the exit-code contract
-    env = dict(os.environ)
-    env.pop("ABELIANIZER_CACHE", None)
     proc = subprocess.run(
         [sys.executable, "-m", "abelianizer.cli", "verify", "--k", "2", "--n", "4",
          "--suite", "martin"],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
     reports = json.loads(proc.stdout)

@@ -1,8 +1,10 @@
+import functools
 import itertools
 from fractions import Fraction
 
 import pytest
 
+from abelianizer import grassmannian, partitions
 from abelianizer.abelian_gw import MemoStore, admissible_tuples
 from abelianizer.cli import RunConfig, run_suites
 from abelianizer.partitions import BoxSpec, Partition, box_partitions
@@ -10,7 +12,6 @@ from abelianizer.cohomology import schubert_cup
 from abelianizer.grassmannian import (
     FundamentalSolution,
     _matmul,
-    calibrate_rim_hook_sign,
     fundamental_solution,
     j_function,
     quantum_cup,
@@ -19,6 +20,7 @@ from abelianizer.grassmannian import (
     two_point,
 )
 from abelianizer.sparse import add, series_add
+from conftest import RIM_HOOK_SIGNS, calibrate_rim_hook_sign
 
 
 def P(*parts):
@@ -111,8 +113,27 @@ def test_nonnegativity_of_structure_constants():
 
 
 def test_calibration_unique_winner():
+    # the surviving candidate is the engine's sign, and no candidate's
+    # product reaches the shared quantum_cup cache
+    assert all(RIM_HOOK_SIGNS["k_minus_height"](h, k) == partitions._hook_sign(h, k)
+               for k in range(1, 6) for h in range(1, 8))
+    before = quantum_cup.cache_info().currsize
     verdict = calibrate_rim_hook_sign()
     assert verdict == {"k_minus_height": True, "height_minus_one": False}
+    assert quantum_cup.cache_info().currsize == before
+
+
+def test_sign_control_through_three_point(monkeypatch):
+    # a control read through three_point gives it a private quantum_cup
+    # cache: on Gr(2,4) the other sign flips every hook, so every degree-1
+    # value changes sign, and the shared cache is left as it was
+    before = quantum_cup.cache_info().currsize
+    monkeypatch.setattr(partitions, "_hook_sign", RIM_HOOK_SIGNS["height_minus_one"])
+    monkeypatch.setattr(grassmannian, "quantum_cup", functools.cache(quantum_cup.__wrapped__))
+    assert three_point(P(1), P(2, 1), P(2, 2), 1, B24) == -1
+    assert three_point(P(1), P(2, 1), P(2, 2), 1, B24) == -1
+    assert grassmannian.quantum_cup.cache_info().hits == 1
+    assert quantum_cup.cache_info().currsize == before
 
 
 def test_three_point_examples():
