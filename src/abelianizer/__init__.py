@@ -19,4 +19,4 @@ from .correspondence import (
 )
 from .jfunctions import ISeries, i_function, j_function_P, solve_c_coefficients
 
-__version__ = "0.20.0"
+__version__ = "0.21.0"

@@ -84,18 +84,23 @@ key can reach itself.
 E is computed in one place, wdvv_contraction, for the potential of any
 space that supplies dim, c1_degree, dual and basis_of_codim: this module's
 ProductSpace and the Grassmannian's BoxSpec alike.  P is E over the proper
-splittings; the checks on both sides enumerate their identities with
-wdvv_identities and compare the three contractions, as wdvv_sides
-evaluates them, with wdvv_failures.  check_wdvv skips an identity of
-m = 4 + |B| marks that fails the rule with m - 4 in place of m - 3,
-decided once per (column sums of the quad, B, d), since the rule reads
-only column sums.  The skip is exact: in a term
-<u, v, S, mu>_e <mu^dual, x, y, T>_f the factors' ex_i add up to the
-identity's (mu, mu^dual add n - 1 on each factor), their bounds |S| and
-|T| add up to m - 4, and e_i = f_i = 0 where d_i = 0, so every term has a
-factor that _gw answers 0 without the store.  A kept identity with a
-factor of degree 0, but d != 0, is evaluated as its projection onto the
-factors of positive degree, which has the same sides.
+splittings; the checks on both sides compare the three contractions of an
+identity, as wdvv_sides evaluates them, with wdvv_failures.
+
+check_wdvv checks classes of identities.  An identity of m = 4 + |B|
+marks that fails the rule with m - 4 in place of m - 3 reads 0 = 0 = 0:
+in a term <u, v, S, mu>_e <mu^dual, x, y, T>_f the factors' ex_i add up to
+the identity's (mu, mu^dual add n - 1 on each factor), their bounds |S|
+and |T| to m - 4, and e_i = f_i = 0 where d_i = 0, so _gw answers some
+factor 0 without the store.  A kept identity with d != 0 has the sides
+of its projection onto the factors with d_i > 0 (Kaufmann, IMRN 1996):
+where d_i = 0 its columns add up to n - 1, so mu is fixed there, and _gw
+reads each factor under its projection's key (_positive_part).  The
+sides are the quad's three pairings, so reordering the quad reorders
+them.  So the kept identities hold iff these classes, each a projection
+of one, do: for j = 1..k the kept identities of (P^{n-1})^j with every
+d_i > 0, one per quad multiset, and at d = 0 the quads whose columns add
+up to n - 1, with no background.
 
 A contraction reads its left factors as half-contractions
 {mu: <u, v, mu, S>_e}, and its right factors <mu^dual, x, y, T>_f from one
@@ -733,9 +738,9 @@ def wdvv_identities(space, d_max: int, n_marks_max: int):
 
 
 class Violations(list):
-    """The violations a check found; instances counts what the check looped
-    over (for a WDVV check, the identities it drew from wdvv_identities,
-    skipped ones included)."""
+    """The violations a check found; instances counts what the check covers
+    (for a WDVV check, the identities of wdvv_identities, skipped ones
+    included)."""
 
     instances = 0
 
@@ -873,70 +878,53 @@ def check_wdvv(space: ProductSpace, d_total_max: int, n_marks_max: int, store: M
 
     An identity with n_marks_max marks has factors of at most
     n_marks_max - 1 marks (see wdvv_identities), so this checks invariants
-    of at most n_marks_max - 1 marks.  An identity that kunneth_allows
-    forbids is skipped: every term of it has a factor that _gw answers 0
-    without the store, so it reads 0 = 0 = 0 (see the module docstring).
-    kunneth_allows reads only the column sums of the marks, so the skip is
-    decided once per (column sums of quad, back, d), and only the identities
-    kept are drawn; instances still counts every identity of
-    wdvv_identities, from the lengths of the (back, d) lists.
-
-    A kept identity with a factor of degree 0, but not d = 0, is evaluated
-    as its projection onto the factors P with d_i > 0: the quad's marks
-    restricted to P in their order, the background restricted to P and
-    sorted, and d restricted to P, on (P^{n-1})^|P|.  That is exact for any
-    store, by the product formula: on a factor with d_i = 0 a kept
-    identity's columns add up to n - 1, so in every term that _gw does not
-    answer 0 without the store, mu is fixed there and both factors' columns
-    add up to n - 1 there too, and _gw reads such a factor under the key of
-    its projection (_positive_part).  So each side equals the same side of
-    the projection.  Many identities share one projection, and its sides
-    are computed once per check.  The other identities are evaluated on
-    space itself.
+    of at most n_marks_max - 1 marks.  Each class of kept identities (see
+    the module docstring) is evaluated once.  If all hold, no identity is
+    enumerated: instances, the number of identities of wdvv_identities, is
+    the sum over codimensions c of the number of quads of codimension c
+    times that of their (back, d) pairs.  If one fails, the report is built
+    by the definition: every kept identity of wdvv_identities, in order,
+    evaluated on space.
     """
-    on_space = wdvv_sides(space, _reader(space, store))
-    # |P| -> wdvv_sides on (P^{n-1})^|P|; projection -> its sides
-    on_factors, projected = {}, {}
+    def failures(sp, identities):
+        return wdvv_failures(identities, wdvv_sides(sp, _reader(sp, store)))
 
-    def sides(quad, back, d):
-        if all(d) or not any(d):
-            return on_space(quad, back, d)
-
-        def on_p(m):
-            return tuple(itertools.compress(m, d))
-
-        key = (tuple(map(on_p, quad)), tuple(sorted(map(on_p, back))), on_p(d))
-        got = projected.get(key)
-        if got is None:
-            size = len(key[2])
-            if size not in on_factors:
-                sub = ProductSpace(size, space.n)
-                on_factors[size] = wdvv_sides(sub, _reader(sub, store))
-            got = projected[key] = on_factors[size](*key)
-        return got
-
-    pairs = _pairs_by_codim(space, d_total_max, n_marks_max)
-    # column sums of a quad -> (number of its identities, the (back, d) kept)
-    kept_of = {}
-    drawn = 0
-
-    def identities():
-        nonlocal drawn
-        for quad in itertools.combinations_with_replacement(space.basis, 4):
+    def kept(sp):
+        # in wdvv_identities order; kunneth_allows reads only column sums
+        pairs, by_cols = _pairs_by_codim(sp, d_total_max, n_marks_max), {}
+        for quad in itertools.combinations_with_replacement(sp.basis, 4):
             cols = tuple(map(sum, zip(*quad)))
-            entry = kept_of.get(cols)
-            if entry is None:
-                candidates = pairs.get(sum(cols), ())
-                kept = [(back, d) for back, d in candidates
-                        if kunneth_allows(space.n, quad + back, d, len(back))]
-                entry = kept_of[cols] = (len(candidates), kept)
-            drawn += entry[0]
-            for back, d in entry[1]:
+            if cols not in by_cols:
+                by_cols[cols] = [(back, d) for back, d in pairs.get(sum(cols), ())
+                                 if kunneth_allows(sp.n, quad + back, d, len(back))]
+            for back, d in by_cols[cols]:
                 yield quad, back, d
 
-    found = Violations(
-        {"quad": quad, "background": back, "degree": d, "values": got}
-        for quad, back, d, got in wdvv_failures(identities(), sides)
-    )
-    found.instances = drawn
+    # a class with every d_i > 0 on j factors has degree >= j
+    subs = [ProductSpace(j, space.n) for j in range(1, min(space.k, d_total_max) + 1)]
+    classes = [(sub, (idt for idt in kept(sub) if all(idt[2]))) for sub in subs]
+    if n_marks_max >= 4 and d_total_max >= 0:
+        classes.append((space, _degree_zero_identities(space)))
+    found = Violations()
+    if any(next(failures(sp, identities), None) for sp, identities in classes):
+        found.extend({"quad": quad, "background": back, "degree": d, "values": got}
+                     for quad, back, d, got in failures(space, kept(space)))
+    # multisets[s][c]: the number of multisets of s basis elements of codimension c
+    multisets = [Counter({0: 1})] + [Counter() for _ in range(4)]
+    for mono in space.basis:
+        for size in range(1, 5):
+            for c, count in multisets[size - 1].items():
+                multisets[size][c + sum(mono)] += count
+    pairs = _pairs_by_codim(space, d_total_max, n_marks_max)
+    found.instances = sum(count * len(pairs.get(c, ())) for c, count in multisets[4].items())
     return found
+
+
+def _degree_zero_identities(space):
+    """The kept identities of space at d = 0: the quads whose every exponent
+    column adds up to n - 1, each with no background, one per multiset."""
+    parts = [col for col in itertools.product(range(space.n), repeat=4) if sum(col) == space.n - 1]
+    # each multiset has an order whose first column does not increase
+    first = [col for col in parts if list(col) == sorted(col, reverse=True)]
+    quads = {tuple(sorted(zip(*cols))) for cols in itertools.product(first, *[parts] * (space.k - 1))}
+    return ((quad, (), (0,) * space.k) for quad in quads)

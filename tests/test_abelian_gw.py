@@ -1111,39 +1111,39 @@ def test_product_formula_keys_skip_the_store(space, d_max):
     assert store.stats() == {"entries": 0, "hits": 0, "misses": 0}
 
 
-def _projection(quad, back, d):
-    # an identity restricted to the factors P with d_i > 0: the quad's marks
-    # in their order, the background sorted, and d_P
-    def on_p(m):
-        return tuple(x for x, di in zip(m, d) if di)
+def _class_of(quad, back, d):
+    # the class an identity is checked in: at d != 0 the identity restricted
+    # to the factors P with d_i > 0, at d = 0 the identity itself; quad and
+    # background as sorted multisets, with the number of factors first
+    pos = [i for i, x in enumerate(d) if x] or range(len(d))
 
-    return tuple(map(on_p, quad)), tuple(sorted(map(on_p, back))), on_p(d)
+    def on_p(marks):
+        return tuple(sorted(tuple(m[i] for i in pos) for m in marks))
+
+    return len(pos), on_p(quad), on_p(back), tuple(d[i] for i in pos)
 
 
 def _assert_evaluated_as_planned(space, evaluated, kept):
-    # evaluated: (k, quad, back, d) per evaluation, in the order made.  The
-    # kept identities with every d_i > 0 and those at d = 0 are evaluated on
-    # space, in enumeration order; the others through their projections, as
-    # (|P|, quad_P, back_P, d_P), each distinct projection once
-    full = [(space.k, *idt) for idt in kept if all(idt[2]) or not any(idt[2])]
-    projections = {(sum(map(bool, d)), *_projection(quad, back, d))
-                   for quad, back, d in kept if any(d) and not all(d)}
-    assert [ev for ev in evaluated if ev[0] == space.k] == full
-    on_sub = [ev for ev in evaluated if ev[0] != space.k]
-    assert len(on_sub) == len(set(on_sub)), "a projection evaluated twice"
-    assert set(on_sub) == projections
-    return len(full), len(projections)
+    # evaluated: (k, quad, back, d) per evaluation, in the order made.  Each
+    # class is evaluated once, and the classes evaluated are exactly those
+    # of the kept identities: each kept identity holds iff its class does,
+    # so a check that passes every class passes every kept identity.
+    # Returns the number of classes evaluated per number of factors
+    classes = [_class_of(quad, back, d) for _, quad, back, d in evaluated]
+    assert [cls[0] for cls in classes] == [k for k, *_ in evaluated]
+    assert len(set(classes)) == len(classes), "a class evaluated twice"
+    assert set(classes) == {_class_of(*idt) for idt in kept}
+    return dict(Counter(k for k, *_ in evaluated))
 
 
 def test_wdvv_skip_is_exact(monkeypatch):
     # check_wdvv skips exactly the identities the product formula makes
-    # 0 = 0 = 0, evaluates a kept identity with a factor of degree 0 (but
-    # not d = 0) through its projection, each projection once, and every
-    # other kept identity once on the full product, in enumeration order.
-    # On a warm store no WDVV step runs, so every contraction is one the
-    # check evaluates itself; a side (u, v | x, y) is recorded with its
-    # space's k, its background (the last sub-multiset) and its degree (the
-    # split (0, d)).
+    # 0 = 0 = 0, and evaluates each class of the kept identities once: on
+    # (P^3)^2 at d <= 1 the 21 kept identities of P^3 and the 27 quads of
+    # (P^3)^2 at d = 0, for 795 kept identities.  On a warm store no WDVV
+    # step runs, so every contraction is one the check evaluates itself; a
+    # side (u, v | x, y) is recorded with its space's k, its background (the
+    # last sub-multiset) and its degree (the split (0, d)).
     space, st = ProductSpace(2, 4), MemoStore()
     assert check_wdvv(space, 1, 5, st) == []
     calls = []
@@ -1173,7 +1173,7 @@ def test_wdvv_skip_is_exact(monkeypatch):
     kept = [(quad, back, d) for quad, back, d in identities
             if _product_formula_allows(space, quad + back, d, len(back))]
     assert (len(identities), len(kept)) == (9089, 795)
-    assert _assert_evaluated_as_planned(space, evaluated, kept) == (27, 104)
+    assert _assert_evaluated_as_planned(space, evaluated, kept) == {1: 21, 2: 27}
     skipped = set(identities) - set(kept)
     value = _product_value(space)
     for quad, back, d in skipped:
@@ -1257,16 +1257,19 @@ def test_wdvv_identities_match_reference_loop(space, d_max, n_marks_max):
 
 def test_wdvv_check_pinned_on_p4_squared(monkeypatch):
     # (P^4)^2 at d <= 2, <= 5 marks: the check counts every identity of the
-    # enumeration, draws exactly those the product formula keeps, in
-    # enumeration order, evaluates them as _assert_evaluated_as_planned
-    # says, and computes each key once
+    # enumeration, evaluates the classes of the kept ones as
+    # _assert_evaluated_as_planned says, and computes each key once.  On a
+    # store with a wrong key its last pass draws exactly the kept
+    # identities, in enumeration order, and evaluates them on the product.
     space, st, drawn, evaluated = ProductSpace(2, 5), MemoStore(), [], []
     failures, make_sides = abelian_gw.wdvv_failures, abelian_gw.wdvv_sides
 
     def drawing(identities, sides):
+        drawn.append([])
+
         def tee():
             for identity in identities:
-                drawn.append(identity)
+                drawn[-1].append(identity)
                 yield identity
         return failures(tee(), sides)
 
@@ -1284,10 +1287,34 @@ def test_wdvv_check_pinned_on_p4_squared(monkeypatch):
     assert found == [] and found.instances == 177024
     reference = [(quad, back, d) for quad, back, d in reference_wdvv_identities(space, 2, 5)
                  if _product_formula_allows(space, quad + back, d, len(back))]
-    assert len(drawn) == 18228
-    assert drawn == reference
-    assert _assert_evaluated_as_planned(space, evaluated, reference) == (13844, 357)
+    assert len(reference) == 18228
+    assert _assert_evaluated_as_planned(space, evaluated, reference) == {1: 61, 2: 13844}
     assert (len(st), st.misses) == (536, 536)
+
+    bad = MemoStore()
+    bad.data.update(st.data)
+    bad.data[max(bad.data)] += 1
+    drawn.clear()
+    found = check_wdvv(space, 2, 5, bad)
+    assert found != [] and found.instances == 177024
+    assert drawn[-1] == reference
+    assert all(len(identities) < len(reference) for identities in drawn[:-1])
+
+
+@pytest.mark.parametrize("space, d_max, n_marks_max", [
+    (ProductSpace(1, 3), 3, 6),
+    (ProductSpace(2, 3), 2, 5),
+    (ProductSpace(3, 2), 3, 6),
+    (ProductSpace(2, 4), 0, 5),
+    (ProductSpace(2, 4), 2, 3),
+    (ProductSpace(3, 3), 1, 4),
+], ids=["P2", "(P2)^2", "(P1)^3", "(P3)^2-d0", "(P3)^2-3-marks", "(P2)^3"])
+def test_wdvv_instances_count_every_identity(space, d_max, n_marks_max):
+    # instances is counted, not enumerated: it is the number of identities
+    # of wdvv_identities, none below 4 marks
+    count = len(list(wdvv_identities(space, d_max, n_marks_max)))
+    assert check_wdvv(space, d_max, n_marks_max, MemoStore()).instances == count
+    assert (count == 0) == (n_marks_max < 4)
 
 
 def reference_check_wdvv(space, d_max, n_marks_max, store):
